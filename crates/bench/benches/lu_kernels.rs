@@ -11,13 +11,16 @@
 //! faster than the scalar baseline at `n = 1024`, and the batched panel
 //! quadrature must beat the per-entry scalar fill on the 1120-cell
 //! SSN-study board (where it is also checked bit-identical entry by
-//! entry). A machine-readable summary is written to `BENCH_lu.json` in
-//! the crate directory.
+//! entry). The dense reluctance `B = AᵀL⁻¹A` of that board (1120 cells)
+//! must come out **≥ 5×** faster through the blocked forward solve and
+//! Gram product than through the historical per-column Cholesky loop,
+//! inlined here as the baseline. A machine-readable summary is written to
+//! `BENCH_lu.json` in the crate directory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdn_core::prelude::*;
 use pdn_greens::{LayeredKernel, Rectangle};
-use pdn_num::{c64, LuDecomposition, Matrix, Scalar};
+use pdn_num::{c64, CholeskyDecomposition, LuDecomposition, Matrix, Scalar};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -119,6 +122,41 @@ fn naive_solve_matrix<T: Scalar>(lu: &Matrix<T>, perm: &[usize], b: &Matrix<T>) 
         }
     }
     x
+}
+
+/// The historical dense reluctance loop of `EquivalentCircuit::from_bem`,
+/// kept as the baseline: a dense incidence matrix `A`, one two-sided
+/// Cholesky solve per cell column, then a dense `Aᵀ·X`.
+fn per_column_reluctance(l: &Matrix<f64>, links: &[pdn_geom::Link], n: usize) -> Matrix<f64> {
+    let ch = CholeskyDecomposition::new(l).expect("L is SPD");
+    let m = links.len();
+    let mut a_mat = Matrix::zeros(m, n);
+    for (k, link) in links.iter().enumerate() {
+        a_mat[(k, link.a)] = 1.0;
+        a_mat[(k, link.b)] = -1.0;
+    }
+    let mut x = Matrix::zeros(m, n);
+    for j in 0..n {
+        let col = ch.solve(&a_mat.col(j)).expect("solvable");
+        for i in 0..m {
+            x[(i, j)] = col[i];
+        }
+    }
+    a_mat.transpose().matmul(&x)
+}
+
+/// The path dense extraction takes: incidence stamped into the
+/// right-hand sides, one blocked forward solve, then the Gram product.
+fn blocked_reluctance(l: &Matrix<f64>, links: &[pdn_geom::Link], n: usize) -> Matrix<f64> {
+    let ch = CholeskyDecomposition::new(l).expect("L is SPD");
+    let mut y = Matrix::zeros(links.len(), n);
+    for (k, link) in links.iter().enumerate() {
+        y[(k, link.a)] = 1.0;
+        y[(k, link.b)] = -1.0;
+    }
+    ch.solve_lower_in_place(&mut y).expect("solvable");
+    drop(ch);
+    pdn_num::gram(&y)
 }
 
 const REPS: usize = 3;
@@ -310,6 +348,48 @@ fn lu_kernels_bench(c: &mut Criterion) {
          \"speedup\": {bem_speedup:.2}, \"bit_identical\": true}},"
     )
     .unwrap();
+
+    // --- dense B = AᵀL⁻¹A on the same 1120-cell board -----------------
+    let pair = PlanePair::new(mil(30.0), 4.5).expect("valid pair");
+    let sys = pdn_bem::BemSystem::assemble(
+        mesh,
+        &pair,
+        &pdn_greens::SurfaceImpedance::lossless(),
+        &pdn_bem::BemOptions::default(),
+    )
+    .expect("assemblable");
+    let links = sys.mesh().links();
+    let m = links.len();
+    let l = sys.inductance();
+    let t0 = Instant::now();
+    let b_naive = black_box(per_column_reluctance(l, links, n));
+    let t_naive = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    let b_blocked = black_box(blocked_reluctance(l, links, n));
+    let t_blocked = t0.elapsed().as_secs_f64();
+    let b_dev = max_rel_dev(&b_naive, &b_blocked);
+    assert!(
+        b_dev < 1e-9,
+        "blocked and per-column B = AᵀL⁻¹A diverge ({b_dev:.3e})"
+    );
+    let b_speedup = t_naive / t_blocked;
+    println!(
+        "  B = AᵀL⁻¹A cells={n} links={m}: per-column {:9.3} ms -> blocked {:9.3} ms \
+         ({b_speedup:5.2}x, dev {b_dev:.1e}; target >= 5x)",
+        t_naive * 1e3,
+        t_blocked * 1e3,
+    );
+    writeln!(
+        json,
+        "  {{\"kind\": \"dense_reluctance\", \"cells\": {n}, \"links\": {m}, \
+         \"per_column_seconds\": {t_naive:.6}, \"blocked_seconds\": {t_blocked:.6}, \
+         \"speedup\": {b_speedup:.2}, \"max_rel_dev\": {b_dev:.3e}}},"
+    )
+    .unwrap();
+    assert!(
+        b_speedup >= 5.0,
+        "blocked B = AᵀL⁻¹A speedup {b_speedup:.2}x at {n} cells below the 5x bar"
+    );
 
     json.truncate(json.trim_end().trim_end_matches(',').len());
     json.push_str("\n]\n");

@@ -236,28 +236,23 @@ impl EquivalentCircuit {
             return Self::from_bem_compressed(sys, &keep);
         }
 
-        // Full-grid B = AᵀL⁻¹A via Cholesky of L (SPD).
+        // Full-grid B = AᵀL⁻¹A = YᵀY with Y = Lc⁻¹A, L = Lc·Lcᵀ (SPD). The
+        // ±1 incidence entries (+1 where a link leaves a cell, −1 where it
+        // enters) are stamped straight into the right-hand sides, solved in
+        // place, and the factor is freed before the Gram product.
         let ch = CholeskyDecomposition::new(sys.inductance())
             .map_err(|e| ExtractCircuitError::NumericalBreakdown(format!("L not SPD: {e}")))?;
         let links = mesh.links();
-        let m = links.len();
-        // Columns of A are sparse: column i has +1 at links leaving cell i
-        // and −1 at links entering. Solve L·X = A column-block-wise.
-        let mut a_mat = Matrix::zeros(m, n);
+        let mut y = Matrix::zeros(links.len(), n);
         for (l, link) in links.iter().enumerate() {
-            a_mat[(l, link.a)] = 1.0;
-            a_mat[(l, link.b)] = -1.0;
+            y[(l, link.a)] = 1.0;
+            y[(l, link.b)] = -1.0;
         }
-        let mut x = Matrix::zeros(m, n);
-        for j in 0..n {
-            let col = ch
-                .solve(&a_mat.col(j))
-                .map_err(|e| ExtractCircuitError::NumericalBreakdown(e.to_string()))?;
-            for i in 0..m {
-                x[(i, j)] = col[i];
-            }
-        }
-        let b_full = a_mat.transpose().matmul(&x);
+        ch.solve_lower_in_place(&mut y)
+            .map_err(|e| ExtractCircuitError::NumericalBreakdown(e.to_string()))?;
+        drop(ch);
+        let b_full = pdn_num::gram(&y);
+        drop(y);
 
         // DC conductance Laplacian from link resistances.
         let mut g_full = Matrix::zeros(n, n);

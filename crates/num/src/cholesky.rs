@@ -6,7 +6,7 @@
 //! extraction. It also underpins the generalized symmetric-definite
 //! eigensolver used for transmission-line modal analysis.
 
-use crate::gemm::{GemmScalar, BLOCK, ROW_TILE};
+use crate::gemm::{self, GemmScalar, BLOCK, ROW_TILE};
 use crate::{parallel, Matrix, SolveMatrixError, Vector};
 
 /// Minimum multiply-accumulate count before a trailing update is fanned
@@ -42,19 +42,20 @@ impl CholeskyDecomposition {
     ///
     /// The factorization is blocked like the LU: each [`BLOCK`]-wide panel
     /// is factored by the classical scalar recurrence (restricted to
-    /// within-panel columns), and the trailing symmetric update
-    /// `A₂₂ -= L₂₁·L₂₁ᵀ` goes through the cache-tiled [`crate::gemm`]
-    /// microkernel, fanned over [`parallel`] row tiles when large enough
-    /// to pay for the threads. Tile sizes are
+    /// within-panel columns), and the lower triangle of the trailing
+    /// symmetric update `A₂₂ -= L₂₁·L₂₁ᵀ` goes through the cache-tiled
+    /// [`crate::gemm`] microkernel, fanned over [`parallel`] row tiles
+    /// when large enough to pay for the threads. Tile sizes are
     /// fixed constants, so the factor is bit-identical for any
     /// `PDN_THREADS`; matrices up to one block (`n ≤ 64`) reproduce the
     /// historical scalar arithmetic exactly.
     ///
     /// # Errors
     ///
-    /// Returns [`SolveMatrixError::NotSquare`] for non-square input and
-    /// [`SolveMatrixError::Singular`] when the matrix is not positive
-    /// definite.
+    /// Returns [`SolveMatrixError::NotSquare`] for non-square input,
+    /// [`SolveMatrixError::NonFinite`] when a lower-triangle entry is NaN
+    /// or infinite, and [`SolveMatrixError::Singular`] when the matrix is
+    /// not positive definite.
     pub fn new(a: &Matrix<f64>) -> Result<Self, SolveMatrixError> {
         if !a.is_square() {
             return Err(SolveMatrixError::NotSquare {
@@ -66,7 +67,11 @@ impl CholeskyDecomposition {
         let mut l = Matrix::zeros(n, n);
         for i in 0..n {
             for j in 0..=i {
-                l[(i, j)] = a[(i, j)];
+                let v = a[(i, j)];
+                if !v.is_finite() {
+                    return Err(SolveMatrixError::NonFinite { row: i, col: j });
+                }
+                l[(i, j)] = v;
             }
         }
         let data = l.as_mut_slice();
@@ -95,38 +100,44 @@ impl CholeskyDecomposition {
                 }
             }
             // Trailing symmetric update A22 -= L21·L21ᵀ through the GEMM
-            // microkernel. The rectangular tiles also write the strictly
-            // upper part of the trailing block; those entries are never
-            // read by later panels and are zeroed below.
+            // microkernel, restricted to the lower triangle: each row tile
+            // updates the rectangle left of its diagonal block in one call
+            // and the diagonal block row by row up to the diagonal. Every
+            // element sees the same `gemm_sub` arithmetic as in a full
+            // rectangular update, and nothing above the diagonal is written.
             if k1 < n {
                 let nr = n - k1;
-                let nc = n - k1;
                 let mut l21 = Vec::with_capacity(nr * kb);
                 for r in 0..nr {
                     l21.extend_from_slice(&data[(k1 + r) * n + k0..(k1 + r) * n + k0 + kb]);
                 }
-                let mut l21t = vec![0.0f64; kb * nc];
+                let mut l21t = vec![0.0f64; kb * nr];
                 for k in 0..kb {
-                    for j in 0..nc {
-                        l21t[k * nc + j] = l21[j * kb + k];
+                    for j in 0..nr {
+                        l21t[k * nr + j] = l21[j * kb + k];
                     }
                 }
                 let (_, bottom) = data.split_at_mut(k1 * n);
                 let tile = |ci: usize, chunk: &mut [f64]| {
                     let rows = chunk.len() / n;
-                    f64::gemm_sub(
-                        &mut chunk[k1..],
-                        n,
-                        rows,
-                        nc,
-                        &l21[ci * ROW_TILE * kb..],
-                        kb,
-                        &l21t,
-                        nc,
-                        kb,
-                    );
+                    let r0 = ci * ROW_TILE;
+                    let a = &l21[r0 * kb..];
+                    f64::gemm_sub(&mut chunk[k1..], n, rows, r0, a, kb, &l21t, nr, kb);
+                    for r in 0..rows {
+                        f64::gemm_sub(
+                            &mut chunk[r * n + k1 + r0..],
+                            n,
+                            1,
+                            r + 1,
+                            &a[r * kb..],
+                            kb,
+                            &l21t[r0..],
+                            nr,
+                            kb,
+                        );
+                    }
                 };
-                if nr * nc * kb >= PAR_MIN_MACS {
+                if nr * nr * kb / 2 >= PAR_MIN_MACS {
                     parallel::par_for_each_chunk_mut(bottom, ROW_TILE * n, tile);
                 } else {
                     for (ci, chunk) in bottom.chunks_mut(ROW_TILE * n).enumerate() {
@@ -135,13 +146,6 @@ impl CholeskyDecomposition {
                 }
             }
             k0 = k1;
-        }
-        // Scrub the scratch the rectangular trailing tiles left above the
-        // diagonal so `l()` is a clean lower-triangular factor.
-        for i in 0..n {
-            for j in (i + 1)..n {
-                data[i * n + j] = 0.0;
-            }
         }
         Ok(CholeskyDecomposition { l })
     }
@@ -215,6 +219,64 @@ impl CholeskyDecomposition {
         Ok(y)
     }
 
+    /// Solves `L·Y = B` in place for a matrix of right-hand sides
+    /// (forward substitution only): on return `x` holds `L⁻¹·B`.
+    ///
+    /// Blocked like [`LuDecomposition::solve_matrix`](crate::LuDecomposition::solve_matrix):
+    /// each [`BLOCK`]-row diagonal block is solved by the non-unit
+    /// lane-group kernel [`gemm::trsm_lower`], and the rows below it are
+    /// updated by the [`crate::gemm`] microkernel over fixed [`ROW_TILE`]
+    /// row tiles fanned out over [`parallel`] workers. Every column is
+    /// solved with the same arithmetic whatever the column count, so the
+    /// result is bit-identical for any `PDN_THREADS`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolveMatrixError::DimensionMismatch`] when `x.nrows()`
+    /// does not equal the system dimension.
+    pub fn solve_lower_in_place(&self, x: &mut Matrix<f64>) -> Result<(), SolveMatrixError> {
+        let n = self.dim();
+        if x.nrows() != n {
+            return Err(SolveMatrixError::DimensionMismatch {
+                expected: n,
+                got: x.nrows(),
+            });
+        }
+        let nrhs = x.ncols();
+        if n == 0 || nrhs == 0 {
+            return Ok(());
+        }
+        let l = self.l.as_slice();
+        let xd = x.as_mut_slice();
+        for k0 in (0..n).step_by(BLOCK) {
+            let k1 = (k0 + BLOCK).min(n);
+            let kb = k1 - k0;
+            let mut l11 = vec![0.0f64; kb * kb];
+            for r in 0..kb {
+                l11[r * kb..r * kb + r + 1]
+                    .copy_from_slice(&l[(k0 + r) * n + k0..=(k0 + r) * n + k0 + r]);
+            }
+            gemm::trsm_lower(&l11, kb, &mut xd[k0 * nrhs..k1 * nrhs], nrhs, nrhs);
+            if k1 < n {
+                let (head, tail) = xd.split_at_mut(k1 * nrhs);
+                let solved = &head[k0 * nrhs..];
+                let tile = |ci: usize, chunk: &mut [f64]| {
+                    let rows = chunk.len() / nrhs;
+                    let a = &l[(k1 + ci * ROW_TILE) * n + k0..];
+                    f64::gemm_sub(chunk, nrhs, rows, nrhs, a, n, solved, nrhs, kb);
+                };
+                if (n - k1) * nrhs * kb >= PAR_MIN_MACS {
+                    parallel::par_for_each_chunk_mut(tail, ROW_TILE * nrhs, tile);
+                } else {
+                    for (ci, chunk) in tail.chunks_mut(ROW_TILE * nrhs).enumerate() {
+                        tile(ci, chunk);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Solves `Lᵀ·x = b` (backward substitution only).
     ///
     /// # Errors
@@ -265,6 +327,7 @@ pub fn is_positive_definite(a: &Matrix<f64>) -> bool {
 mod tests {
     use super::*;
     use crate::approx_eq;
+    use proptest::prelude::*;
 
     fn spd(n: usize) -> Matrix<f64> {
         // A = Mᵀ M + n·I is SPD for any M.
@@ -385,6 +448,163 @@ mod tests {
         for i in 0..n {
             for j in 0..n {
                 assert!(approx_eq(back[(i, j)], a[(i, j)], 1e-9), "({i},{j})");
+            }
+        }
+    }
+
+    /// The trailing update as it ran before the lower-triangle
+    /// restriction: full rectangular `gemm_sub` tiles over the trailing
+    /// block, scratch above the diagonal scrubbed at the end. Kept to pin
+    /// bit-identity of the restricted update.
+    fn factor_full_rectangle_reference(a: &Matrix<f64>) -> Matrix<f64> {
+        let n = a.nrows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                l[(i, j)] = a[(i, j)];
+            }
+        }
+        let data = l.as_mut_slice();
+        let mut k0 = 0;
+        while k0 < n {
+            let k1 = (k0 + BLOCK).min(n);
+            let kb = k1 - k0;
+            for j in k0..k1 {
+                let mut d = data[j * n + j];
+                for k in k0..j {
+                    d -= data[j * n + k] * data[j * n + k];
+                }
+                let djj = d.sqrt();
+                data[j * n + j] = djj;
+                for i in (j + 1)..n {
+                    let mut s = data[i * n + j];
+                    for k in k0..j {
+                        s -= data[i * n + k] * data[j * n + k];
+                    }
+                    data[i * n + j] = s / djj;
+                }
+            }
+            if k1 < n {
+                let nc = n - k1;
+                let mut l21 = Vec::with_capacity(nc * kb);
+                for r in 0..nc {
+                    l21.extend_from_slice(&data[(k1 + r) * n + k0..(k1 + r) * n + k0 + kb]);
+                }
+                let mut l21t = vec![0.0f64; kb * nc];
+                for k in 0..kb {
+                    for j in 0..nc {
+                        l21t[k * nc + j] = l21[j * kb + k];
+                    }
+                }
+                let (_, bottom) = data.split_at_mut(k1 * n);
+                for (ci, chunk) in bottom.chunks_mut(ROW_TILE * n).enumerate() {
+                    let rows = chunk.len() / n;
+                    f64::gemm_sub(
+                        &mut chunk[k1..],
+                        n,
+                        rows,
+                        nc,
+                        &l21[ci * ROW_TILE * kb..],
+                        kb,
+                        &l21t,
+                        nc,
+                        kb,
+                    );
+                }
+            }
+            k0 = k1;
+        }
+        for i in 0..n {
+            for j in (i + 1)..n {
+                data[i * n + j] = 0.0;
+            }
+        }
+        l
+    }
+
+    #[test]
+    fn lower_triangle_update_bit_identical_to_full_rectangle() {
+        for n in [65usize, 150, 300] {
+            let a = spd(n);
+            let blocked = CholeskyDecomposition::new(&a).unwrap();
+            let reference = factor_full_rectangle_reference(&a);
+            for (idx, (x, r)) in blocked
+                .l()
+                .as_slice()
+                .iter()
+                .zip(reference.as_slice())
+                .enumerate()
+            {
+                assert_eq!(x.to_bits(), r.to_bits(), "n={n} ({},{})", idx / n, idx % n);
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_lower_entry_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut a = spd(5);
+            a[(3, 1)] = bad;
+            assert_eq!(
+                CholeskyDecomposition::new(&a).unwrap_err(),
+                SolveMatrixError::NonFinite { row: 3, col: 1 }
+            );
+            let mut a = spd(5);
+            a[(4, 4)] = bad;
+            assert_eq!(
+                CholeskyDecomposition::new(&a).unwrap_err(),
+                SolveMatrixError::NonFinite { row: 4, col: 4 }
+            );
+        }
+        // The strict upper triangle is never read.
+        let mut a = spd(5);
+        a[(1, 3)] = f64::NAN;
+        assert!(CholeskyDecomposition::new(&a).is_ok());
+    }
+
+    #[test]
+    fn solve_lower_in_place_rejects_wrong_row_count() {
+        let ch = CholeskyDecomposition::new(&spd(4)).unwrap();
+        let mut x = Matrix::zeros(5, 2);
+        assert_eq!(
+            ch.solve_lower_in_place(&mut x).unwrap_err(),
+            SolveMatrixError::DimensionMismatch {
+                expected: 4,
+                got: 5
+            }
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The blocked multi-RHS forward solve agrees with per-column
+        /// `solve_lower` at shapes off the block and lane widths.
+        #[test]
+        fn blocked_forward_solve_matches_per_column(
+            blocks in 0usize..4,
+            rem in 1usize..BLOCK,
+            groups in 0usize..4,
+            tail in 1usize..crate::gemm::LANES,
+            seed in any::<u64>(),
+        ) {
+            let n = blocks * BLOCK + rem;
+            let nrhs = groups * crate::gemm::LANES + tail;
+            let ch = CholeskyDecomposition::new(&spd(n)).unwrap();
+            let mut state = seed | 1;
+            let b = Matrix::from_fn(n, nrhs, |_, _| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+            });
+            let mut y = b.clone();
+            ch.solve_lower_in_place(&mut y).unwrap();
+            for j in 0..nrhs {
+                let col = ch.solve_lower(&b.col(j)).unwrap();
+                for i in 0..n {
+                    prop_assert!(approx_eq(y[(i, j)], col[i], 1e-12), "({}, {})", i, j);
+                }
             }
         }
     }

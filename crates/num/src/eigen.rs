@@ -162,25 +162,13 @@ pub fn generalized_symmetric_eigen(
     }
     let n = a.nrows();
     let ch = CholeskyDecomposition::new(b)?;
-    // Form C = L⁻¹ A L⁻ᵀ column by column.
-    // First X = L⁻¹ A  (solve lower for each column of A),
-    // then C = X L⁻ᵀ = (L⁻¹ Xᵀ)ᵀ.
-    let mut x = Matrix::zeros(n, n);
-    for j in 0..n {
-        let col = ch.solve_lower(&a.col(j))?;
-        for i in 0..n {
-            x[(i, j)] = col[i];
-        }
-    }
-    let xt = x.transpose();
-    let mut c = Matrix::zeros(n, n);
-    for j in 0..n {
-        let col = ch.solve_lower(&xt.col(j))?;
-        for i in 0..n {
-            c[(j, i)] = col[i];
-        }
-    }
-    let eig = symmetric_eigen(&c)?;
+    // Form C = L⁻¹ A L⁻ᵀ with two blocked forward solves:
+    // first X = L⁻¹ A, then C = X L⁻ᵀ = (L⁻¹ Xᵀ)ᵀ.
+    let mut x = a.clone();
+    ch.solve_lower_in_place(&mut x)?;
+    let mut c = x.transpose();
+    ch.solve_lower_in_place(&mut c)?;
+    let eig = symmetric_eigen(&c.transpose())?;
     // Back-transform eigenvectors: v = L⁻ᵀ w.
     let mut vectors = Matrix::zeros(n, n);
     for j in 0..n {

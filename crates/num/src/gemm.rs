@@ -510,6 +510,49 @@ pub fn trsm_lower_unit<T: Scalar>(l: &[T], k: usize, x: &mut [T], ldx: usize, n:
     }
 }
 
+/// In-place non-unit lower triangular solve `X := L⁻¹·X` over lane groups
+/// of the columns of `X`.
+///
+/// `l` is a packed `k×k` row-major block whose lower triangle (including
+/// the diagonal) holds the factor; `x` is `k×n` with row stride `ldx`.
+/// Forward recurrence, ascending-`t` accumulation per row — fixed order,
+/// independent of column grouping.
+pub fn trsm_lower<T: Scalar>(l: &[T], k: usize, x: &mut [T], ldx: usize, n: usize) {
+    if k == 0 || n == 0 {
+        return;
+    }
+    debug_assert!(l.len() >= k * k, "L block too short");
+    debug_assert!(x.len() >= (k - 1) * ldx + n, "X operand too short");
+    let mut jb = 0;
+    while jb < n {
+        let w = (n - jb).min(LANES);
+        let mut tile = vec![[T::zero(); LANES]; k];
+        for (i, row) in tile.iter_mut().enumerate() {
+            let src = &x[i * ldx + jb..i * ldx + jb + w];
+            row[..w].copy_from_slice(src);
+        }
+        for i in 0..k {
+            let mut acc = [T::zero(); LANES];
+            for t in 0..i {
+                let lit = l[i * k + t];
+                let xr = &tile[t];
+                for q in 0..LANES {
+                    acc[q] += lit * xr[q];
+                }
+            }
+            let lii = l[i * k + i];
+            for q in 0..LANES {
+                let v = tile[i][q] - acc[q];
+                tile[i][q] = v / lii;
+            }
+        }
+        for (i, row) in tile.iter().enumerate() {
+            x[i * ldx + jb..i * ldx + jb + w].copy_from_slice(&row[..w]);
+        }
+        jb += w;
+    }
+}
+
 /// In-place non-unit upper triangular solve `X := U⁻¹·X` over lane groups
 /// of the columns of `X`.
 ///

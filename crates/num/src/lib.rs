@@ -34,6 +34,7 @@ pub mod complex;
 pub mod eigen;
 pub mod fft;
 pub mod gemm;
+pub mod gram;
 pub mod lu;
 pub mod matrix;
 pub mod parallel;
@@ -54,6 +55,7 @@ pub use eigen::{
 };
 pub use fft::{fft, ifft, next_pow2, real_fft_magnitude};
 pub use gemm::GemmScalar;
+pub use gram::gram;
 pub use lu::{LuDecomposition, SolveMatrixError};
 pub use matrix::{Matrix, Vector};
 pub use precond::{BlockJacobiPreconditioner, JacobiPreconditioner, Preconditioner};

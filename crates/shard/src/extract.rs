@@ -528,17 +528,11 @@ pub fn extract_sharded(
             let ch = CholeskyDecomposition::new(&l_cut).map_err(|e| {
                 ShardExtractError::Composition(format!("cut-link inductance not SPD: {e}"))
             })?;
-            let mut l_inv = Matrix::zeros(mc, mc);
-            for j in 0..mc {
-                let mut ej = vec![0.0; mc];
-                ej[j] = 1.0;
-                let col = ch
-                    .solve(&ej)
-                    .map_err(|e| ShardExtractError::Composition(e.to_string()))?;
-                for i in 0..mc {
-                    l_inv[(i, j)] = col[i];
-                }
-            }
+            // L⁻¹ = YᵀY with Y = Lc⁻¹ (one blocked multi-RHS forward solve).
+            let mut y = Matrix::identity(mc);
+            ch.solve_lower_in_place(&mut y)
+                .map_err(|e| ShardExtractError::Composition(e.to_string()))?;
+            let l_inv = pdn_num::gram(&y);
             for i in 0..mc {
                 for j in 0..mc {
                     let v = l_inv[(i, j)];

@@ -124,13 +124,24 @@ fn cholesky_factor_thread_count_invariant() {
     for i in 0..n {
         a[(i, i)] += n as f64;
     }
-    let mut ref_bits: Option<Vec<u64>> = None;
+    // Odd right-hand-side count: ragged lane group in the forward solve
+    // and the Gram product, several row tiles in both.
+    let rhs = Matrix::from_fn(n, 77, |i, j| ((i * 3 + j * 5) as f64 * 0.013).sin());
+    let bits = |m: &Matrix<f64>| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+    let mut ref_bits: Option<[Vec<u64>; 3]> = None;
     with_thread_counts(|workers| {
         let ch = CholeskyDecomposition::new(&a).unwrap();
-        let bits: Vec<u64> = ch.l().as_slice().iter().map(|v| v.to_bits()).collect();
+        let mut y = rhs.clone();
+        ch.solve_lower_in_place(&mut y).unwrap();
+        let g = pdn_num::gram(&y);
+        let got = [bits(ch.l()), bits(&y), bits(&g)];
         match &ref_bits {
-            None => ref_bits = Some(bits),
-            Some(r) => assert_eq!(&bits, r, "cholesky, {workers} workers"),
+            None => ref_bits = Some(got),
+            Some(r) => {
+                assert_eq!(got[0], r[0], "cholesky, {workers} workers");
+                assert_eq!(got[1], r[1], "forward solve, {workers} workers");
+                assert_eq!(got[2], r[2], "gram, {workers} workers");
+            }
         }
     });
 }

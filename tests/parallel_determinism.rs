@@ -140,3 +140,44 @@ fn extracted_macromodel_sweeps_are_thread_count_invariant() {
         }
     });
 }
+
+#[test]
+fn dense_extraction_is_thread_count_invariant_and_exactly_symmetric() {
+    // 10 × 10 cells, 180 links: the forward solve's row tiles below the
+    // first 64-link block carry (m − 64)·n·64 ≥ 2¹⁸ multiply-accumulates,
+    // so every blocked stage (factor update, forward solve, Gram product)
+    // actually fans out over the workers.
+    let spec = PlaneSpec::rectangle(mm(20.0), mm(20.0), 0.5e-3, 4.5)
+        .unwrap()
+        .with_sheet_resistance(5e-3)
+        .with_cell_size(mm(2.0))
+        .with_port("P1", mm(3.0), mm(3.0))
+        .with_port("P2", mm(17.0), mm(15.0));
+    let bits = |m: &pdn_num::Matrix<f64>| -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    };
+    let mut reference: Option<[Vec<u64>; 3]> = None;
+    with_thread_counts(|workers| {
+        let extracted = spec.extract(&NodeSelection::All).unwrap();
+        let mesh = extracted.bem().mesh();
+        let (n, m) = (mesh.cell_count(), mesh.links().len());
+        assert!((m - 64) * n * 64 >= 1 << 18, "board too small to fan out");
+        let eq = extracted.equivalent();
+        let b = eq.reluctance();
+        assert_eq!(b.shape(), (n, n));
+        for i in 0..n {
+            for j in 0..i {
+                assert_eq!(b[(i, j)].to_bits(), b[(j, i)].to_bits(), "B({i},{j})");
+            }
+        }
+        let got = [bits(b), bits(eq.conductance()), bits(eq.capacitance())];
+        match &reference {
+            None => reference = Some(got),
+            Some(r) => {
+                for (k, name) in ["B", "G", "C"].iter().enumerate() {
+                    assert_eq!(got[k], r[k], "dense {name} with {workers} workers");
+                }
+            }
+        }
+    });
+}
