@@ -24,8 +24,8 @@
 //!    silently degraded (see `docs/COMPRESSION.md`).
 //!
 //! The result is a [`CompressedKernel`]: a symmetric operator supporting
-//! exact-cost matvecs, Jacobi-preconditioned CG solves, and byte
-//! accounting. Assembly fans the fixed block list across
+//! exact-cost matvecs, block-CG solves, and byte accounting. Assembly
+//! fans the fixed block list across
 //! [`pdn_num::parallel`] workers and every per-block computation is
 //! serial and deterministically pivoted, so compressed kernels are
 //! bit-identical for any `PDN_THREADS`.
@@ -65,68 +65,38 @@ pub fn kernel_matvec_count() -> usize {
 /// floating-point result — are identical for any `PDN_THREADS`. Wide
 /// enough to amortize streaming a kernel block over many columns, small
 /// enough that a typical 48-column panel still fans across workers.
-pub(crate) const MATVEC_CHUNK: usize = pdn_num::aca::PANEL_LANES;
+const MATVEC_CHUNK: usize = pdn_num::aca::PANEL_LANES;
 
 /// Coarsened block-Jacobi clusters cap at this multiple of `leaf_size`
 /// (256 points at the default leaf size): measured on the benchmark
 /// boards, larger exact blocks keep cutting CG iterations up to about
 /// this size, after which the `O(n·cap)` triangular-solve cost per
 /// preconditioner application overtakes the saved matvecs.
-pub(crate) const COARSEN_FACTOR: usize = 8;
+const COARSEN_FACTOR: usize = 8;
+
+/// Right-hand-side columns per block-CG panel on the compressed
+/// extraction routes ([`CompressedKernel::solve_block`],
+/// [`CompressedLinkKernel::solve_block`] and their callers): wide enough
+/// to amortize each kernel sweep over many columns, narrow enough that
+/// the panel Gram matrices stay cheap.
+pub const BLOCK_CG_PANEL: usize = 48;
+
+/// Whether the compressed extraction routes build their block-Jacobi
+/// preconditioners ([`CompressedKernel::block_jacobi`],
+/// [`CompressedLinkKernel::block_jacobi`]) over coarsened cluster-tree
+/// nodes (up to 8× the leaf size) rather than the
+/// leaves: the fastest measured configuration.
+pub const BLOCK_CG_COARSEN: bool = true;
 
 /// Margin between the internal ACA stopping tolerance and the
 /// user-facing certified tolerance: ACA stops at `tol / ACA_MARGIN`, so
 /// the certification check at `tol` has headroom over the incremental
 /// Frobenius estimate the stopping criterion relies on.
-pub(crate) const ACA_MARGIN: f64 = 16.0;
+const ACA_MARGIN: f64 = 16.0;
 /// Recompression truncates at `tol / RECOMPRESS_MARGIN`.
-pub(crate) const RECOMPRESS_MARGIN: f64 = 4.0;
+const RECOMPRESS_MARGIN: f64 = 4.0;
 /// Certified rows sampled per low-rank block.
-pub(crate) const CERT_ROWS: usize = 2;
-
-/// Iterative-solver strategy for the compressed extraction path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverSpec {
-    /// Per-column scalar CG with the plain Jacobi (diagonal)
-    /// preconditioner — the original compressed path, kept as the
-    /// default so existing results stay byte-stable.
-    ScalarJacobi,
-    /// Multi-RHS block CG ([`pdn_num::cg::solve_spd_block`]) with a
-    /// hierarchical block-Jacobi preconditioner built from the kernel's
-    /// own cluster tree (exact Cholesky factors over leaf clusters).
-    /// One compressed-operator sweep per iteration serves the whole
-    /// column panel, so total kernel matvecs drop sharply — see
-    /// `docs/COMPRESSION.md` for the measured contract.
-    BlockCg {
-        /// Columns solved per block-CG panel. Must be at least 1;
-        /// 32–64 balances amortization against panel Gram-matrix cost.
-        panel: usize,
-        /// Coarsen the preconditioner one tree level: merge sibling
-        /// leaves into their parent cluster (stronger, costlier
-        /// factors).
-        coarsen: bool,
-    },
-}
-
-impl SolverSpec {
-    /// Whether this strategy uses the block solver.
-    pub fn is_block(&self) -> bool {
-        matches!(self, SolverSpec::BlockCg { .. })
-    }
-
-    /// Appends a canonical byte encoding of the solver strategy to `w`
-    /// (part of the `pdn-service` content hash).
-    pub fn write_canonical(&self, w: &mut pdn_num::ByteWriter) {
-        match self {
-            SolverSpec::ScalarJacobi => w.put_u8(0),
-            SolverSpec::BlockCg { panel, coarsen } => {
-                w.put_u8(1);
-                w.put_usize(*panel);
-                w.put_u8(*coarsen as u8);
-            }
-        }
-    }
-}
+const CERT_ROWS: usize = 2;
 
 /// Low-rank compression settings carried on
 /// [`BemOptions::compression`](crate::BemOptions).
@@ -143,9 +113,6 @@ pub struct CompressionSpec {
     /// `min(diam_a, diam_b) ≤ eta · dist(a, b)`. Larger values compress
     /// more aggressively. Must be finite and positive.
     pub eta: f64,
-    /// Iterative-solver strategy used by the compressed extraction
-    /// path. Defaults to [`SolverSpec::ScalarJacobi`].
-    pub solver: SolverSpec,
 }
 
 impl Default for CompressionSpec {
@@ -154,7 +121,6 @@ impl Default for CompressionSpec {
             tol: 1e-6,
             leaf_size: 32,
             eta: 2.0,
-            solver: SolverSpec::ScalarJacobi,
         }
     }
 }
@@ -167,7 +133,6 @@ impl CompressionSpec {
         w.put_f64(self.tol);
         w.put_usize(self.leaf_size);
         w.put_f64(self.eta);
-        self.solver.write_canonical(w);
     }
 
     /// Compression at the given certified tolerance, other settings at
@@ -179,21 +144,11 @@ impl CompressionSpec {
         }
     }
 
-    /// Switches the compressed extraction path to block CG with the
-    /// hierarchical preconditioner ([`SolverSpec::BlockCg`]) at the
-    /// default panel width (48 columns) and coarsened preconditioner
-    /// clusters — the fastest measured configuration.
-    pub fn with_block_solver(mut self) -> Self {
-        self.solver = SolverSpec::BlockCg {
-            panel: 48,
-            coarsen: true,
-        };
-        self
-    }
-
-    /// Sets an explicit solver strategy.
-    pub fn with_solver(mut self, solver: SolverSpec) -> Self {
-        self.solver = solver;
+    /// Returns the spec unchanged. Compressed extraction always runs
+    /// block CG under the hierarchical block-Jacobi preconditioner; this
+    /// identity is kept so existing call sites that opted into that
+    /// solver keep compiling.
+    pub fn with_block_solver(self) -> Self {
         self
     }
 
@@ -202,9 +157,8 @@ impl CompressionSpec {
     ///
     /// # Errors
     ///
-    /// `tol` outside `(0, 1)` or non-finite, `leaf_size == 0`, a
-    /// non-finite/non-positive `eta`, or a zero block-CG panel width are
-    /// rejected.
+    /// `tol` outside `(0, 1)` or non-finite, `leaf_size == 0`, or a
+    /// non-finite/non-positive `eta` are rejected.
     pub fn validate(&self) -> Result<(), AssembleBemError> {
         if !(self.tol.is_finite() && self.tol > 0.0 && self.tol < 1.0) {
             return Err(AssembleBemError::InvalidInput(format!(
@@ -222,13 +176,6 @@ impl CompressionSpec {
                 "compression eta must be finite and positive, got {}",
                 self.eta
             )));
-        }
-        if let SolverSpec::BlockCg { panel, .. } = self.solver {
-            if panel == 0 {
-                return Err(AssembleBemError::InvalidInput(
-                    "block-CG panel width must be at least 1".into(),
-                ));
-            }
         }
         Ok(())
     }
@@ -680,25 +627,6 @@ impl CompressedKernel {
             }
         }
         y
-    }
-
-    /// Solves `A·x = b` by Jacobi-preconditioned CG on the compressed
-    /// operator (the kernels are SPD).
-    ///
-    /// # Errors
-    ///
-    /// [`AssembleBemError::NumericalBreakdown`] when CG stalls or breaks
-    /// down — a compressed solve never silently returns an unconverged
-    /// answer.
-    pub fn solve(
-        &self,
-        b: &[f64],
-        tol: f64,
-        max_iter: usize,
-    ) -> Result<Vec<f64>, AssembleBemError> {
-        cg::solve_spd_op(self.n, &|x| self.matvec(x), &self.diag, b, tol, max_iter).map_err(|e| {
-            AssembleBemError::NumericalBreakdown(format!("compressed-kernel CG solve failed: {e}"))
-        })
     }
 
     /// Blocked matvec: applies the operator to every column at once,
@@ -1176,22 +1104,6 @@ impl CompressedLinkKernel {
             }
         }
         y
-    }
-
-    /// Solves `L·x = b` by CG on the compressed operator.
-    ///
-    /// # Errors
-    ///
-    /// [`AssembleBemError::NumericalBreakdown`] when CG fails.
-    pub fn solve(
-        &self,
-        b: &[f64],
-        tol: f64,
-        max_iter: usize,
-    ) -> Result<Vec<f64>, AssembleBemError> {
-        cg::solve_spd_op(self.m, &|x| self.matvec(x), &self.diag, b, tol, max_iter).map_err(|e| {
-            AssembleBemError::NumericalBreakdown(format!("compressed-L CG solve failed: {e}"))
-        })
     }
 
     /// Blocked matvec over global link indices: the X- and Y-direction
@@ -1679,7 +1591,11 @@ mod tests {
             assemble_compressed(&mesh, &pair, &zs, &BemOptions::default(), &spec).unwrap();
         let n = mesh.cell_count();
         let b: Vec<f64> = (0..n).map(|i| if i == n / 2 { 1.0 } else { 0.0 }).collect();
-        let x = ck.p.solve(&b, 1e-12, 10 * n).unwrap();
+        let pc = ck.p.block_jacobi(true).unwrap();
+        let x =
+            ck.p.solve_block(std::slice::from_ref(&b), &pc, 1e-12, 10 * n)
+                .unwrap()[0]
+                .clone();
         let x_dense = pdn_num::lu::solve(raw.p_coef.clone(), &b).unwrap();
         // The kernels themselves differ by up to `tol` relative, so the
         // solutions agree to `tol` relative to the solution scale.
@@ -1736,23 +1652,20 @@ mod tests {
     }
 
     #[test]
-    fn spec_validation_rejects_zero_block_panel() {
-        let bad = CompressionSpec::default().with_solver(SolverSpec::BlockCg {
-            panel: 0,
-            coarsen: false,
-        });
-        assert!(matches!(
-            bad.validate(),
-            Err(AssembleBemError::InvalidInput(_))
-        ));
-        assert!(CompressionSpec::default()
-            .with_block_solver()
-            .validate()
-            .is_ok());
-        assert!(CompressionSpec::default()
-            .with_block_solver()
-            .solver
-            .is_block());
+    fn with_block_solver_is_an_identity_on_spec_and_cache_key() {
+        // The compatibility shim must not split the content hash: a spec
+        // built with it and one built without encode to the same bytes.
+        let spec = CompressionSpec::default();
+        assert_eq!(spec.with_block_solver(), spec);
+        let bytes = |opts: &BemOptions| {
+            let mut w = pdn_num::ByteWriter::new();
+            opts.write_canonical(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(
+            bytes(&BemOptions::default().with_compression(spec.with_block_solver())),
+            bytes(&BemOptions::default().with_compression(spec))
+        );
     }
 
     #[test]
@@ -1834,7 +1747,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_block_matches_scalar_solves() {
+    fn solve_block_matches_dense_solves() {
         let (mesh, pair, zs) = plane(mm(24.0), mm(12.0), mm(1.0));
         let spec = CompressionSpec {
             leaf_size: 16,
@@ -1852,15 +1765,18 @@ mod tests {
             })
             .collect();
         let xs = ck.p.solve_block(&b, &pc, 1e-12, 10 * n).unwrap();
+        // Reference: a direct solve of the same (densified) compressed
+        // operator.
+        let ch = pdn_num::CholeskyDecomposition::new(&ck.p.to_dense()).unwrap();
         for (j, col) in b.iter().enumerate() {
-            let x_scalar = ck.p.solve(col, 1e-12, 10 * n).unwrap();
-            let x_max = x_scalar.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let x_ref = ch.solve(col).unwrap();
+            let x_max = x_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             for i in 0..n {
                 assert!(
-                    (xs[j][i] - x_scalar[i]).abs() <= 1e-9 * x_max,
+                    (xs[j][i] - x_ref[i]).abs() <= 1e-9 * x_max,
                     "col {j} entry {i}: {} vs {}",
                     xs[j][i],
-                    x_scalar[i]
+                    x_ref[i]
                 );
             }
         }

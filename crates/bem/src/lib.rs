@@ -48,7 +48,6 @@
 //! ```
 
 pub mod assembly;
-pub mod columns;
 pub mod compress;
 pub mod system;
 
@@ -56,10 +55,9 @@ pub use assembly::{
     assemble_link_matrices, assemble_matrices, cross_block_lumping, AssembleBemError, BemOptions,
     RawMatrices, Testing,
 };
-pub use columns::CompressedColumns;
 pub use compress::{
     assemble_compressed, compress_link_matrices, kernel_matvec_count, reset_kernel_matvec_count,
     CompressedKernel, CompressedKernels, CompressedLinkKernel, CompressionSpec, CompressionStats,
-    SolverSpec,
+    BLOCK_CG_COARSEN, BLOCK_CG_PANEL,
 };
 pub use system::BemSystem;

@@ -122,9 +122,11 @@ fn bem_aca_bench(c: &mut Criterion) {
         drop(dense_sys);
         let (t_xc, eq_comp) =
             timed(|| EquivalentCircuit::from_bem(&sys, &sel).expect("extractable"));
-        // Peak compressed-path working set: the kernels plus the four
-        // B-blocks held simultaneously during the block assembly (k² +
-        // 2·k·e + e² = n² doubles).
+        // Compressed-path working set, bounded above by the kernels plus
+        // n² doubles (the four dense B-blocks of the per-column route
+        // this bar was set against); the constrained-solve route holds
+        // only k×k matrices, one panel of link vectors and the envelope
+        // factor of the eliminated Laplacian.
         let peak = stored + 8 * n * n;
         let extraction_ratio = dense_bytes as f64 / peak as f64;
         let zd = eq_dense.impedance_sweep(&freqs).expect("solvable");

@@ -1,19 +1,28 @@
-//! Scalar-CG vs block-CG compressed extraction on the SSN-study board.
+//! Block-CG compressed extraction on the SSN-study board, against the
+//! retired scalar-CG route as an inlined old-code baseline.
 //!
-//! Compares the two iterative routes of the compressed kernel path —
-//! the scalar per-column Jacobi-CG route and the block-CG route
-//! (panelled right-hand sides, hierarchical block-Jacobi
-//! preconditioners, certified low-rank `B_ee` with iterative Schur
-//! complement):
+//! The library's compressed path solves right-hand sides in panels by
+//! block CG under hierarchical block-Jacobi preconditioners: one
+//! constrained `L` solve per kept node for the reduced `B`, one `P`
+//! solve per kept node for `C`, and a direct sparse reduction of `G`.
+//! Its baseline is the per-column scalar Jacobi-CG route the library
+//! used to ship (one `L` solve per cell, dense kept/eliminated blocks,
+//! LU Kron reduction): that route is no longer in the library, so this
+//! file keeps a **bench-local copy** of it (the "Bench-local baseline"
+//! section below), built only on the compressed kernels' public
+//! `matvec` and `diag()`, with the same arithmetic as the removed code:
 //!
 //! * at ~4.5k cells the **full macromodel extraction** runs through
 //!   both routes, head to head;
 //! * at ~17.9k cells the full scalar route is infeasible on the bench
-//!   budget (its dense `B_ee` alone is ~2.2 GB at stride 4), so both
-//!   routes solve the **same 256-column sample** of the dominant cost —
-//!   the `B = AᵀL⁻¹A` column solves — and both totals are extrapolated
-//!   per column (labelled in the JSON; everything outside the sampled
-//!   L-solves is excluded from both sides).
+//!   budget (its dense `B_ee` alone is ~2.2 GB at stride 4), so the two
+//!   CG drivers solve the **same 256-column sample** of plain
+//!   `B = AᵀL⁻¹A` column solves — the scalar route's dominant cost —
+//!   and both totals are extrapolated per column (labelled in the JSON;
+//!   everything outside the sampled L-solves is excluded from both
+//!   sides). This compares the solvers column for column; the library
+//!   route solves only the kept columns, so its full-route advantage is
+//!   larger than the sample shows.
 //!
 //! Acceptance bar (the `docs/COMPRESSION.md` contract): at both sizes
 //! the block route must be ≥ 2× faster wall-clock with strictly fewer
@@ -22,17 +31,18 @@
 //! summary is written to `BENCH_extract.json` in the crate directory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pdn_bem::{kernel_matvec_count, SolverSpec};
+use pdn_bem::{kernel_matvec_count, BLOCK_CG_COARSEN, BLOCK_CG_PANEL};
 use pdn_core::prelude::*;
 use pdn_extract::EquivalentCircuit;
 use pdn_num::cg::cg_iteration_count;
+use pdn_num::{parallel, JacobiPreconditioner, LuDecomposition, Preconditioner};
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 const TOL: f64 = 1e-6;
 const SAMPLE_COLS: usize = 256;
-
 fn board_mesh(cell: f64) -> PlaneMesh {
     let mut mesh =
         PlaneMesh::build(&Polygon::rectangle(inch(10.0), inch(7.0)), cell).expect("meshable");
@@ -112,14 +122,7 @@ struct RouteCost {
 fn extract_iter_bench(c: &mut Criterion) {
     let p = pair();
     let z = zs();
-    let scalar_opts = BemOptions::default().with_compression(CompressionSpec::with_tol(TOL));
-    let block_opts =
-        BemOptions::default().with_compression(CompressionSpec::with_tol(TOL).with_block_solver());
-    let SolverSpec::BlockCg { panel, coarsen } =
-        CompressionSpec::with_tol(TOL).with_block_solver().solver
-    else {
-        unreachable!("with_block_solver selects BlockCg")
-    };
+    let opts = BemOptions::default().with_compression(CompressionSpec::with_tol(TOL));
 
     println!(
         "--- block-CG vs scalar-CG compressed extraction: 10x7 in plane, tol = {TOL:.0e} \
@@ -135,26 +138,22 @@ fn extract_iter_bench(c: &mut Criterion) {
         let stride = 2usize;
         let sel = NodeSelection::PortsAndGrid { stride };
 
-        // Block route first so the RSS high-water mark reflects its peak
-        // (and not a dense working set from a preceding scalar run).
-        let sys_block =
-            BemSystem::assemble(mesh.clone(), &p, &z, &block_opts).expect("assemblable");
+        // One assembly serves both routes (the kernels are
+        // solver-agnostic). Block route first so the RSS high-water mark
+        // reflects its peak (and not the scalar route's dense blocks).
+        let sys = BemSystem::assemble(mesh, &p, &z, &opts).expect("assemblable");
         let (mv0, it0) = (kernel_matvec_count(), cg_iteration_count());
-        let (t_block, eq_block) =
-            timed(|| EquivalentCircuit::from_bem(&sys_block, &sel).expect("extractable"));
+        let (t_block, (eq_block, keep)) =
+            timed(|| EquivalentCircuit::from_bem_detailed(&sys, &sel).expect("extractable"));
         let mv_block = kernel_matvec_count() - mv0;
         let it_block = cg_iteration_count() - it0;
         let peak_block = vm_hwm_bytes();
-        drop(sys_block);
 
-        let sys_scalar =
-            BemSystem::assemble(mesh.clone(), &p, &z, &scalar_opts).expect("assemblable");
-        let (mv1, it1) = (kernel_matvec_count(), cg_iteration_count());
-        let (t_scalar, eq_scalar) =
-            timed(|| EquivalentCircuit::from_bem(&sys_scalar, &sel).expect("extractable"));
+        let (mv1, it1) = (kernel_matvec_count(), scalar_iteration_count());
+        let (t_scalar, eq_scalar) = timed(|| scalar_extract(&sys, &keep, &eq_block));
         let mv_scalar = kernel_matvec_count() - mv1;
-        let it_scalar = cg_iteration_count() - it1;
-        drop(sys_scalar);
+        let it_scalar = scalar_iteration_count() - it1;
+        drop(sys);
         let dev = sweep_deviation(&eq_block, &eq_scalar);
 
         report(
@@ -190,7 +189,7 @@ fn extract_iter_bench(c: &mut Criterion) {
         let (n, m) = (mesh.cell_count(), mesh.link_count());
         let stride = 4usize;
         let links = mesh.links().to_vec();
-        let sys = BemSystem::assemble(mesh, &p, &z, &scalar_opts).expect("assemblable");
+        let sys = BemSystem::assemble(mesh, &p, &z, &opts).expect("assemblable");
         let ck = sys.compressed().expect("compressed system");
         let cg_tol = (TOL * 1e-2).max(1e-14);
         let max_iter = 10 * m.max(10) + 100;
@@ -206,11 +205,11 @@ fn extract_iter_bench(c: &mut Criterion) {
         assert_eq!(cols.len(), SAMPLE_COLS);
         let scale = n as f64 / cols.len() as f64;
 
-        // Block route: hierarchical preconditioner, panels of `panel`.
-        let l_pc = ck.l.block_jacobi(coarsen).expect("preconditioner");
+        // Block route: hierarchical preconditioner, panels of `BLOCK_CG_PANEL`.
+        let l_pc = ck.l.block_jacobi(BLOCK_CG_COARSEN).expect("preconditioner");
         let (mv0, it0) = (kernel_matvec_count(), cg_iteration_count());
         let (t_block, ()) = timed(|| {
-            for chunk in cols.chunks(panel) {
+            for chunk in cols.chunks(BLOCK_CG_PANEL) {
                 let rhs: Vec<Vec<f64>> = chunk.iter().map(|&j| a_column(&links, m, j)).collect();
                 black_box(
                     ck.l.solve_block(&rhs, &l_pc, cg_tol, max_iter)
@@ -223,15 +222,21 @@ fn extract_iter_bench(c: &mut Criterion) {
         let peak_block = vm_hwm_bytes();
 
         // Scalar route: the same columns, one Jacobi-CG solve each.
-        let (mv1, it1) = (kernel_matvec_count(), cg_iteration_count());
+        let (mv1, it1) = (kernel_matvec_count(), scalar_iteration_count());
         let (t_scalar, ()) = timed(|| {
             for &j in &cols {
                 let a_col = a_column(&links, m, j);
-                black_box(ck.l.solve(&a_col, cg_tol, max_iter).expect("solvable"));
+                black_box(scalar_cg(
+                    &|x| ck.l.matvec(x),
+                    ck.l.diag(),
+                    &a_col,
+                    cg_tol,
+                    max_iter,
+                ));
             }
         });
         let mv_scalar = kernel_matvec_count() - mv1;
-        let it_scalar = cg_iteration_count() - it1;
+        let it_scalar = scalar_iteration_count() - it1;
 
         report(
             &mut json,
@@ -264,19 +269,15 @@ fn extract_iter_bench(c: &mut Criterion) {
     // seconds.
     let mesh = board_mesh(inch(0.25));
     let sel = NodeSelection::PortsAndGrid { stride: 2 };
-    let sys_scalar = BemSystem::assemble(mesh.clone(), &p, &z, &scalar_opts).expect("assemblable");
-    let sys_block = BemSystem::assemble(mesh, &p, &z, &block_opts).expect("assemblable");
-    assert!(matches!(
-        sys_block.compressed().expect("compressed").spec.solver,
-        SolverSpec::BlockCg { .. }
-    ));
+    let sys = BemSystem::assemble(mesh, &p, &z, &opts).expect("assemblable");
+    let (eq_ref, keep) = EquivalentCircuit::from_bem_detailed(&sys, &sel).expect("extractable");
     let mut g = c.benchmark_group("extract_iter");
     g.sample_size(10);
     g.bench_with_input(BenchmarkId::new("extract", "scalar"), &(), |b, ()| {
-        b.iter(|| EquivalentCircuit::from_bem(black_box(&sys_scalar), &sel).expect("extractable"));
+        b.iter(|| scalar_extract(black_box(&sys), &keep, &eq_ref));
     });
     g.bench_with_input(BenchmarkId::new("extract", "block"), &(), |b, ()| {
-        b.iter(|| EquivalentCircuit::from_bem(black_box(&sys_block), &sel).expect("extractable"));
+        b.iter(|| EquivalentCircuit::from_bem(black_box(&sys), &sel).expect("extractable"));
     });
     g.finish();
 }
@@ -347,6 +348,255 @@ fn report(
         block.matvecs,
         scalar.matvecs
     );
+}
+
+// ---------------------------------------------------------------------------
+// Bench-local baseline: the retired scalar Jacobi-CG compressed route.
+// Everything below reproduces the removed library code's arithmetic on
+// the compressed kernels' public `matvec`/`diag()`.
+// ---------------------------------------------------------------------------
+
+/// Iterations of the bench-local scalar CG (the library's
+/// `cg_iteration_count` only counts library solves).
+static SCALAR_ITERS: AtomicUsize = AtomicUsize::new(0);
+
+fn scalar_iteration_count() -> usize {
+    SCALAR_ITERS.load(Ordering::Relaxed)
+}
+
+/// Jacobi-preconditioned scalar CG on an SPD operator given by `apply`
+/// and its diagonal: stops at residual `tol · ‖b‖`.
+///
+/// # Panics
+///
+/// On a non-positive diagonal, breakdown, or `max_iter` exhausted.
+fn scalar_cg(
+    apply: &dyn Fn(&[f64]) -> Vec<f64>,
+    diag: &[f64],
+    b: &[f64],
+    tol: f64,
+    max_iter: usize,
+) -> Vec<f64> {
+    let n = b.len();
+    let pc = JacobiPreconditioner::new(diag).expect("positive diagonal");
+    let b_norm = b.iter().map(|x| x * x).sum::<f64>().sqrt();
+    if b_norm == 0.0 {
+        return vec![0.0; n];
+    }
+    let mut x = vec![0.0; n];
+    let mut r = b.to_vec();
+    let mut z = vec![0.0; n];
+    pc.apply_into(&r, &mut z);
+    let mut p = z.clone();
+    let mut rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
+    for _ in 0..max_iter {
+        SCALAR_ITERS.fetch_add(1, Ordering::Relaxed);
+        let ap = apply(&p);
+        let p_ap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
+        assert!(p_ap > 0.0, "scalar CG breakdown: operator is not SPD");
+        let alpha = rz / p_ap;
+        for i in 0..n {
+            x[i] += alpha * p[i];
+            r[i] -= alpha * ap[i];
+        }
+        let r_norm = r.iter().map(|v| v * v).sum::<f64>().sqrt();
+        if r_norm <= tol * b_norm {
+            return x;
+        }
+        pc.apply_into(&r, &mut z);
+        let rz_new: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
+        let beta = rz_new / rz;
+        rz = rz_new;
+        for i in 0..n {
+            p[i] = z[i] + beta * p[i];
+        }
+    }
+    panic!("scalar CG did not converge in {max_iter} iterations");
+}
+
+/// `M_kk − M_ke · M_ee⁻¹ · M_keᵀ` from dense blocks by LU.
+fn kron_reduce_blocks(m_kk: &Matrix<f64>, m_ke: &Matrix<f64>, m_ee: Matrix<f64>) -> Matrix<f64> {
+    if m_ee.nrows() == 0 {
+        return m_kk.clone();
+    }
+    let m_ek = m_ke.transpose();
+    let lu = LuDecomposition::new(m_ee).expect("non-singular eliminated block");
+    let x = lu.solve_matrix(&m_ek).expect("solvable");
+    let correction = m_ke.matmul(&x);
+    m_kk - &correction
+}
+
+/// Nearest retained node (same net) of every cell — the capacitance
+/// aggregation clusters of the extraction.
+fn capacitance_clusters(mesh: &PlaneMesh, keep: &[usize]) -> Vec<usize> {
+    (0..mesh.cell_count())
+        .map(|i| {
+            let ci = mesh.cell_center(i);
+            let net = mesh.cell_net(i);
+            keep.iter()
+                .enumerate()
+                .filter(|&(_, &kcell)| mesh.cell_net(kcell) == net)
+                .min_by(|a, b| {
+                    let da = mesh.cell_center(*a.1).distance_sq(ci);
+                    let db = mesh.cell_center(*b.1).distance_sq(ci);
+                    da.partial_cmp(&db).expect("finite distances")
+                })
+                .map(|(pos, _)| pos)
+                .expect("every net keeps a node")
+        })
+        .collect()
+}
+
+/// Symmetrizes the square matrix `a` in place by averaging mirrored
+/// entries.
+fn symmetrize(a: &mut Matrix<f64>) {
+    for i in 0..a.nrows() {
+        for j in (i + 1)..a.ncols() {
+            let v = 0.5 * (a[(i, j)] + a[(j, i)]);
+            a[(i, j)] = v;
+            a[(j, i)] = v;
+        }
+    }
+}
+
+/// The retired scalar compressed extraction over the kept cells `keep`:
+/// one Jacobi-CG solve per `B = AᵀL⁻¹A` column and per capacitance
+/// cluster, fanned across workers in index-ordered batches; `B` and `G`
+/// assembled in dense kept/eliminated blocks and reduced by LU. Node
+/// names and ports are taken from `like` (an extraction over the same
+/// `keep`).
+fn scalar_extract(sys: &BemSystem, keep: &[usize], like: &EquivalentCircuit) -> EquivalentCircuit {
+    let ck = sys.compressed().expect("compressed system");
+    let mesh = sys.mesh();
+    let n = mesh.cell_count();
+    let links = mesh.links();
+    let m = links.len();
+    let k = keep.len();
+    let cg_tol = (ck.spec.tol * 1e-2).max(1e-14);
+    let max_iter_l = 10 * m.max(10) + 100;
+    let max_iter_p = 10 * n.max(10) + 100;
+
+    let mut kept_pos = vec![usize::MAX; n];
+    for (p, &cell) in keep.iter().enumerate() {
+        kept_pos[cell] = p;
+    }
+    let elim: Vec<usize> = (0..n).filter(|&i| kept_pos[i] == usize::MAX).collect();
+    let mut elim_pos = vec![usize::MAX; n];
+    for (p, &cell) in elim.iter().enumerate() {
+        elim_pos[cell] = p;
+    }
+    let e = elim.len();
+
+    // B = AᵀL⁻¹A, one compressed-L solve per cell column, scattered
+    // straight into the kept/eliminated blocks.
+    let mut b_kk = Matrix::zeros(k, k);
+    let mut b_ke = Matrix::zeros(k, e);
+    let mut b_ek = Matrix::zeros(e, k);
+    let mut b_ee = Matrix::zeros(e, e);
+    let batch = (parallel::worker_count() * 4).max(16);
+    let mut j0 = 0;
+    while j0 < n {
+        let j1 = (j0 + batch).min(n);
+        let cols: Vec<Vec<f64>> = parallel::par_map_indexed(j1 - j0, |t| {
+            let a_col = a_column(links, m, j0 + t);
+            let x = scalar_cg(&|v| ck.l.matvec(v), ck.l.diag(), &a_col, cg_tol, max_iter_l);
+            let mut y = vec![0.0; n];
+            for (l, link) in links.iter().enumerate() {
+                y[link.a] += x[l];
+                y[link.b] -= x[l];
+            }
+            y
+        });
+        for (t, y) in cols.iter().enumerate() {
+            let j = j0 + t;
+            let jk = kept_pos[j];
+            for (i, &v) in y.iter().enumerate() {
+                match (kept_pos[i], jk) {
+                    (ik, jk) if ik != usize::MAX && jk != usize::MAX => b_kk[(ik, jk)] = v,
+                    (ik, _) if ik != usize::MAX => b_ke[(ik, elim_pos[j])] = v,
+                    (_, jk) if jk != usize::MAX => b_ek[(elim_pos[i], jk)] = v,
+                    _ => b_ee[(elim_pos[i], elim_pos[j])] = v,
+                }
+            }
+        }
+        j0 = j1;
+    }
+    symmetrize(&mut b_kk);
+    symmetrize(&mut b_ee);
+    for a in 0..k {
+        for bcol in 0..e {
+            b_ke[(a, bcol)] = 0.5 * (b_ke[(a, bcol)] + b_ek[(bcol, a)]);
+        }
+    }
+    drop(b_ek);
+    let b = kron_reduce_blocks(&b_kk, &b_ke, b_ee);
+    drop(b_kk);
+    drop(b_ke);
+
+    // G: the sparse DC Laplacian stamped directly into blocks.
+    let mut g_kk = Matrix::zeros(k, k);
+    let mut g_ke = Matrix::zeros(k, e);
+    let mut g_ee = Matrix::zeros(e, e);
+    let mut has_g = false;
+    {
+        let mut stamp = |i: usize, j: usize, v: f64| match (kept_pos[i], kept_pos[j]) {
+            (ik, jk) if ik != usize::MAX && jk != usize::MAX => g_kk[(ik, jk)] += v,
+            (ik, _) if ik != usize::MAX => g_ke[(ik, elim_pos[j])] += v,
+            (_, jk) if jk != usize::MAX => {} // transpose of a (keep, elim) stamp
+            _ => g_ee[(elim_pos[i], elim_pos[j])] += v,
+        };
+        for (l, link) in links.iter().enumerate() {
+            let r = sys.link_resistances()[l];
+            if r > 0.0 {
+                has_g = true;
+                let g = 1.0 / r;
+                stamp(link.a, link.a, g);
+                stamp(link.b, link.b, g);
+                stamp(link.a, link.b, -g);
+                stamp(link.b, link.a, -g);
+            }
+        }
+    }
+    let g = if has_g {
+        kron_reduce_blocks(&g_kk, &g_ke, g_ee)
+    } else {
+        Matrix::zeros(k, k)
+    };
+
+    // C = Sᵀ P⁻¹ S, one compressed-P solve per retained node.
+    let cluster = capacitance_clusters(mesh, keep);
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
+    for (i, &cl) in cluster.iter().enumerate() {
+        members[cl].push(i);
+    }
+    let c_cols: Vec<Vec<f64>> = parallel::par_map_indexed(k, |q| {
+        let mut s = vec![0.0; n];
+        for &i in &members[q] {
+            s[i] = 1.0;
+        }
+        let z = scalar_cg(&|v| ck.p.matvec(v), ck.p.diag(), &s, cg_tol, max_iter_p);
+        (0..k)
+            .map(|r| members[r].iter().map(|&i| z[i]).sum::<f64>())
+            .collect()
+    });
+    let mut c = Matrix::zeros(k, k);
+    for (q, col) in c_cols.iter().enumerate() {
+        for r in 0..k {
+            c[(r, q)] = col[r];
+        }
+    }
+    symmetrize(&mut c);
+
+    let ports = (0..like.port_count()).map(|p| like.port_node(p)).collect();
+    EquivalentCircuit::from_parts(
+        like.node_names().to_vec(),
+        ports,
+        b,
+        g,
+        c,
+        sys.pair().loss_tangent,
+    )
+    .expect("consistent macromodel")
 }
 
 criterion_group!(benches, extract_iter_bench);

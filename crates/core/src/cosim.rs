@@ -326,8 +326,9 @@ impl BoardSpec {
             w.put_f64(p.y);
         };
         // Format tag, bumped if the canonical encoding ever changes
-        // (old cache entries then simply miss).
-        w.put_u32(1);
+        // (old cache entries then simply miss). Version 2: the compression
+        // spec no longer encodes an iterative-solver choice.
+        w.put_u32(2);
         self.plane.write_canonical(&mut w);
         put_point(&mut w, &self.supply_location);
         let mut chips: Vec<(&str, Point)> = self
@@ -1166,6 +1167,8 @@ mod tests {
     fn canonical_bytes_track_material_edits() {
         let base = small_board().with_decap_site(Point::new(mm(20.0), mm(10.0)));
         let bytes = base.canonical_bytes();
+        // Encoding version 2 leads the bytes.
+        assert_eq!(bytes[..4], 2u32.to_le_bytes());
         // Scenario-level fields are excluded…
         let mut quiet = base.clone();
         quiet.vcc = 5.0;

@@ -1,7 +1,7 @@
 //! The distributed R–L‖C equivalent circuit (paper Figure 2, eqs. 20–27).
 
-use crate::reduce::{kron_reduce, kron_reduce_blocks};
-use pdn_bem::BemSystem;
+use crate::reduce::{kron_reduce, kron_reduce_sparse, symmetrize, EliminatedCellProjector};
+use pdn_bem::{BemSystem, BLOCK_CG_COARSEN, BLOCK_CG_PANEL};
 use pdn_circuit::{Circuit, NodeId};
 use pdn_num::rational::{self, SweepAccuracy, SweepError, SweepOutcome};
 use pdn_num::{
@@ -312,28 +312,24 @@ impl EquivalentCircuit {
         ))
     }
 
-    /// The compressed-kernel extraction path: `B`, `G`, and `C` are
-    /// assembled directly in kept/eliminated block form — the full cell
-    /// grid matrices are never materialized — with CG solves on the
-    /// compressed `L` and `P` operators standing in for the dense
-    /// Cholesky/LU factorizations, then reduced by
-    /// [`kron_reduce_blocks`].
+    /// The compressed-kernel extraction path: the reduced `B`, `G`, and
+    /// `C` are formed on the kept nodes directly — no full cell-grid
+    /// matrix and no eliminated block of `B` or `C` is ever materialized.
+    /// Right-hand sides are solved in panels of [`BLOCK_CG_PANEL`]
+    /// columns by [`pdn_num::cg::solve_spd_block`] under hierarchical
+    /// block-Jacobi preconditioners built from the kernels' ACA cluster
+    /// trees: `B` from one constrained `L` solve per kept cell, `C` from
+    /// one `P` solve per kept cell's capacitance cluster. `G` is a sparse
+    /// Laplacian and is reduced by a direct envelope Cholesky.
     ///
-    /// Columns are fanned across [`pdn_num::parallel`] workers in fixed
-    /// index order and each CG solve is serial, so the result is
-    /// bit-identical for any `PDN_THREADS`.
+    /// Panels run serially in fixed order and every inner parallel fan is
+    /// per-column in index order, so the result is bit-identical for any
+    /// `PDN_THREADS`.
     fn from_bem_compressed(
         sys: &BemSystem,
         keep: &[usize],
     ) -> Result<(Self, Vec<usize>), ExtractCircuitError> {
         let ck = sys.compressed().expect("compressed extraction path");
-        // Block-iterative route: panels of right-hand sides through block
-        // CG under hierarchical preconditioners, with the eliminated
-        // B-block held in certified low-rank column form instead of a
-        // dense e² array.
-        if ck.spec.solver.is_block() {
-            return Self::from_bem_compressed_block(sys, keep);
-        }
         let mesh = sys.mesh();
         let n = mesh.cell_count();
         let links = mesh.links();
@@ -347,222 +343,9 @@ impl EquivalentCircuit {
         let breakdown =
             |e: pdn_bem::AssembleBemError| ExtractCircuitError::NumericalBreakdown(e.to_string());
 
-        // Kept/eliminated index maps.
-        let mut kept_pos = vec![usize::MAX; n];
-        for (p, &cell) in keep.iter().enumerate() {
-            kept_pos[cell] = p;
-        }
-        let elim: Vec<usize> = (0..n).filter(|&i| kept_pos[i] == usize::MAX).collect();
-        let mut elim_pos = vec![usize::MAX; n];
-        for (p, &cell) in elim.iter().enumerate() {
-            elim_pos[cell] = p;
-        }
-        let e = elim.len();
-
-        // --- B = AᵀL⁻¹A, directly in block form -------------------------
-        // One compressed-L CG solve per cell column; each column of B is
-        // scattered straight into the kept/eliminated blocks, so peak
-        // storage is K² + K·E + E² + E·K ≈ n² at worst but without the
-        // full matrix *plus* its four submatrix copies the dense
-        // kron_reduce would hold. Columns run in batches to bound the
-        // in-flight column memory; batch boundaries only group work, so
-        // the per-column results (and the blocks) are thread-invariant.
-        let mut b_kk = Matrix::zeros(k, k);
-        let mut b_ke = Matrix::zeros(k, e);
-        let mut b_ek = Matrix::zeros(e, k);
-        let mut b_ee = Matrix::zeros(e, e);
-        let batch = (pdn_num::parallel::worker_count() * 4).max(16);
-        let mut j0 = 0;
-        while j0 < n {
-            let j1 = (j0 + batch).min(n);
-            let cols: Vec<Vec<f64>> = pdn_num::parallel::try_par_map_indexed(j1 - j0, |t| {
-                let j = j0 + t;
-                let mut a_col = vec![0.0; m];
-                for (l, link) in links.iter().enumerate() {
-                    if link.a == j {
-                        a_col[l] += 1.0;
-                    }
-                    if link.b == j {
-                        a_col[l] -= 1.0;
-                    }
-                }
-                let x = ck.l.solve(&a_col, cg_tol, max_iter_l).map_err(breakdown)?;
-                let mut y = vec![0.0; n];
-                for (l, link) in links.iter().enumerate() {
-                    y[link.a] += x[l];
-                    y[link.b] -= x[l];
-                }
-                Ok(y)
-            })?;
-            for (t, y) in cols.iter().enumerate() {
-                let j = j0 + t;
-                let jk = kept_pos[j];
-                for (i, &v) in y.iter().enumerate() {
-                    match (kept_pos[i], jk) {
-                        (ik, jk) if ik != usize::MAX && jk != usize::MAX => b_kk[(ik, jk)] = v,
-                        (ik, jk) if ik != usize::MAX => {
-                            debug_assert_eq!(jk, usize::MAX);
-                            b_ke[(ik, elim_pos[j])] = v;
-                        }
-                        (_, jk) if jk != usize::MAX => b_ek[(elim_pos[i], jk)] = v,
-                        _ => b_ee[(elim_pos[i], elim_pos[j])] = v,
-                    }
-                }
-            }
-            j0 = j1;
-        }
-        // B is symmetric up to the CG tolerance; symmetrize
-        // deterministically before the Schur reduction assumes it.
-        for a in 0..k {
-            for bcol in (a + 1)..k {
-                let v = 0.5 * (b_kk[(a, bcol)] + b_kk[(bcol, a)]);
-                b_kk[(a, bcol)] = v;
-                b_kk[(bcol, a)] = v;
-            }
-        }
-        for a in 0..e {
-            for bcol in (a + 1)..e {
-                let v = 0.5 * (b_ee[(a, bcol)] + b_ee[(bcol, a)]);
-                b_ee[(a, bcol)] = v;
-                b_ee[(bcol, a)] = v;
-            }
-        }
-        for a in 0..k {
-            for bcol in 0..e {
-                b_ke[(a, bcol)] = 0.5 * (b_ke[(a, bcol)] + b_ek[(bcol, a)]);
-            }
-        }
-        drop(b_ek);
-        let b = kron_reduce_blocks(&b_kk, &b_ke, b_ee).map_err(|err| {
-            ExtractCircuitError::NumericalBreakdown(format!(
-                "Kron reduction of B failed: {err} (does every net keep at least one node?)"
-            ))
-        })?;
-        drop(b_kk);
-        drop(b_ke);
-
-        // --- G: the DC Laplacian is sparse — stamp blocks directly ------
-        let mut g_kk = Matrix::zeros(k, k);
-        let mut g_ke = Matrix::zeros(k, e);
-        let mut g_ee = Matrix::zeros(e, e);
-        let mut has_g = false;
-        {
-            let mut stamp = |i: usize, j: usize, v: f64| {
-                match (kept_pos[i], kept_pos[j]) {
-                    (ik, jk) if ik != usize::MAX && jk != usize::MAX => g_kk[(ik, jk)] += v,
-                    (ik, _) if ik != usize::MAX => g_ke[(ik, elim_pos[j])] += v,
-                    (_, jk) if jk != usize::MAX => {} // transpose of a (keep, elim) stamp
-                    _ => g_ee[(elim_pos[i], elim_pos[j])] += v,
-                }
-            };
-            for (l, link) in links.iter().enumerate() {
-                let r = sys.link_resistances()[l];
-                if r > 0.0 {
-                    has_g = true;
-                    let g = 1.0 / r;
-                    stamp(link.a, link.a, g);
-                    stamp(link.b, link.b, g);
-                    stamp(link.a, link.b, -g);
-                    stamp(link.b, link.a, -g);
-                }
-            }
-        }
-        let g = if has_g {
-            kron_reduce_blocks(&g_kk, &g_ke, g_ee).map_err(|err| {
-                ExtractCircuitError::NumericalBreakdown(format!(
-                    "Kron reduction of G failed: {err} (does every net keep at least one node?)"
-                ))
-            })?
-        } else {
-            Matrix::zeros(k, k)
-        };
-
-        // --- C = Sᵀ P⁻¹ S with S the cluster indicator matrix -----------
-        // Identical aggregation to the dense path (C summed over nearest-
-        // retained-node clusters), computed as one compressed-P CG solve
-        // per retained node instead of inverting P.
-        let cluster = capacitance_clusters(mesh, keep)?;
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (i, &cl) in cluster.iter().enumerate() {
-            members[cl].push(i);
-        }
-        let c_cols: Vec<Vec<f64>> = pdn_num::parallel::try_par_map_indexed(k, |q| {
-            let mut s = vec![0.0; n];
-            for &i in &members[q] {
-                s[i] = 1.0;
-            }
-            let z = ck.p.solve(&s, cg_tol, max_iter_p).map_err(breakdown)?;
-            Ok((0..k)
-                .map(|r| members[r].iter().map(|&i| z[i]).sum::<f64>())
-                .collect())
-        })?;
-        let mut c = Matrix::zeros(k, k);
-        for (q, col) in c_cols.iter().enumerate() {
-            for r in 0..k {
-                c[(r, q)] = col[r];
-            }
-        }
-        for a in 0..k {
-            for bcol in (a + 1)..k {
-                let v = 0.5 * (c[(a, bcol)] + c[(bcol, a)]);
-                c[(a, bcol)] = v;
-                c[(bcol, a)] = v;
-            }
-        }
-
-        let (names, ports) = node_names_and_ports(mesh, keep);
-        Ok((
-            EquivalentCircuit {
-                names,
-                ports,
-                b,
-                g,
-                c,
-                tan_d: sys.pair().loss_tangent,
-            },
-            keep.to_vec(),
-        ))
-    }
-
-    /// The block-iterative compressed extraction path
-    /// ([`pdn_bem::SolverSpec::BlockCg`]): right-hand sides are solved in
-    /// panels by [`pdn_num::cg::solve_spd_block`] under hierarchical
-    /// block-Jacobi preconditioners built from the kernels' ACA cluster
-    /// trees, and the eliminated B-block — the dense `e²` working set of
-    /// the scalar path — is assembled as a certified
-    /// [`pdn_bem::CompressedColumns`] operator and eliminated by the
-    /// operator-form Schur complement
-    /// [`kron_reduce_operator`](crate::kron_reduce_operator).
-    ///
-    /// Panels run serially in fixed order and every inner parallel fan is
-    /// per-column in index order, so the result is bit-identical for any
-    /// `PDN_THREADS`.
-    fn from_bem_compressed_block(
-        sys: &BemSystem,
-        keep: &[usize],
-    ) -> Result<(Self, Vec<usize>), ExtractCircuitError> {
-        use crate::reduce::kron_reduce_operator;
-
-        let ck = sys.compressed().expect("compressed extraction path");
-        let pdn_bem::SolverSpec::BlockCg { panel, coarsen } = ck.spec.solver else {
-            unreachable!("block extraction path requires SolverSpec::BlockCg");
-        };
-        let mesh = sys.mesh();
-        let n = mesh.cell_count();
-        let links = mesh.links();
-        let m = links.len();
-        let k = keep.len();
-        // Same tolerance contract as the scalar route: CG two decades
-        // tighter than the certified kernel tolerance.
-        let cg_tol = (ck.spec.tol * 1e-2).max(1e-14);
-        let max_iter_l = 10 * m.max(10) + 100;
-        let max_iter_p = 10 * n.max(10) + 100;
-        let breakdown =
-            |e: pdn_bem::AssembleBemError| ExtractCircuitError::NumericalBreakdown(e.to_string());
-
         // Hierarchical preconditioners over the kernels' cluster trees.
-        let l_pc = ck.l.block_jacobi(coarsen).map_err(breakdown)?;
-        let p_pc = ck.p.block_jacobi(coarsen).map_err(breakdown)?;
+        let l_pc = ck.l.block_jacobi(BLOCK_CG_COARSEN).map_err(breakdown)?;
+        let p_pc = ck.p.block_jacobi(BLOCK_CG_COARSEN).map_err(breakdown)?;
 
         // Kept/eliminated index maps.
         let mut kept_pos = vec![usize::MAX; n];
@@ -584,32 +367,6 @@ impl EquivalentCircuit {
             cell_links[link.b].push((l, -1.0));
         }
 
-        // One panel of B = AᵀL⁻¹A columns for the given cells.
-        let b_panel = |cells: &[usize]| -> Result<Vec<Vec<f64>>, pdn_bem::AssembleBemError> {
-            let rhs: Vec<Vec<f64>> = cells
-                .iter()
-                .map(|&j| {
-                    let mut a_col = vec![0.0; m];
-                    for &(l, s) in &cell_links[j] {
-                        a_col[l] += s;
-                    }
-                    a_col
-                })
-                .collect();
-            let xs = ck.l.solve_block(&rhs, &l_pc, cg_tol, max_iter_l)?;
-            Ok(xs
-                .into_iter()
-                .map(|x| {
-                    let mut y = vec![0.0; n];
-                    for (l, link) in links.iter().enumerate() {
-                        y[link.a] += x[l];
-                        y[link.b] -= x[l];
-                    }
-                    y
-                })
-                .collect())
-        };
-
         // Kept cells in the P cluster tree's traversal order: panels of
         // geometrically coherent right-hand sides share a Krylov subspace
         // much better than keep-index-ordered ones, so the block solves
@@ -622,100 +379,67 @@ impl EquivalentCircuit {
                 .filter(|&i| kept_pos[i] != usize::MAX)
                 .collect();
 
-        // --- Kept columns of B: dense (k × k) and (k × e) blocks --------
-        let mut b_kk = Matrix::zeros(k, k);
-        let mut b_ke = Matrix::zeros(k, e);
-        for chunk in kept_tree_order.chunks(panel) {
-            let cols = b_panel(chunk).map_err(breakdown)?;
-            for (t, y) in cols.iter().enumerate() {
-                let jk = kept_pos[chunk[t]];
-                for (i, &v) in y.iter().enumerate() {
-                    if kept_pos[i] != usize::MAX {
-                        b_kk[(kept_pos[i], jk)] = v;
-                    } else {
-                        // B is symmetric up to the CG tolerance: the
-                        // eliminated rows of kept columns are the kept
-                        // rows of eliminated columns, so the coupling
-                        // block never needs eliminated-column solves.
-                        b_ke[(jk, elim_pos[i])] = v;
+        // --- B: Kron-reduced AᵀL⁻¹A from constrained solves -------------
+        // With A = [A_k A_e] split by kept/eliminated cells, the reduced
+        // reluctance is B = A_kᵀ·X, where column j of X solves L·x = a_j
+        // over the link currents with no net injection at any eliminated
+        // cell (A_eᵀ·x = 0). Block CG runs on P·L·P, P the orthogonal
+        // projector onto that subspace, so only the k kept columns are
+        // solved, the eliminated block of B is never formed, and every
+        // reduced entry is one inner product instead of a difference of
+        // large Schur-complement terms.
+        let reduce_err = |what: &str, err: &dyn fmt::Display| {
+            ExtractCircuitError::NumericalBreakdown(format!(
+                "Kron reduction of {what} failed: {err} (does every net keep at least one node?)"
+            ))
+        };
+        let proj = EliminatedCellProjector::new(links, &elim_pos, e)
+            .map_err(|err| reduce_err("B", &err))?;
+        let proj_pc = proj.precondition(&l_pc);
+        let apply_l = |cols: &[Vec<f64>]| -> Vec<Vec<f64>> {
+            let mut out = ck.l.matvec_block(cols);
+            proj.project_panel(&mut out);
+            out
+        };
+        let mut b = Matrix::zeros(k, k);
+        for chunk in kept_tree_order.chunks(BLOCK_CG_PANEL) {
+            let rhs: Vec<Vec<f64>> = chunk
+                .iter()
+                .map(|&j| {
+                    let mut a_col = vec![0.0; m];
+                    for &(l, s) in &cell_links[j] {
+                        a_col[l] += s;
                     }
+                    let a_norm_sq = cell_links[j].len() as f64;
+                    proj.project(&mut a_col);
+                    // The only kept cell of its net: a_j lies in the span
+                    // of the eliminated columns and its reduced column is
+                    // exactly zero. Otherwise ‖P·a_j‖² is a unit-weight
+                    // effective conductance, never below ~1/e.
+                    if a_col.iter().map(|v| v * v).sum::<f64>() <= 1e-20 * a_norm_sq {
+                        a_col.iter_mut().for_each(|v| *v = 0.0);
+                    }
+                    a_col
+                })
+                .collect();
+            let xs = pdn_num::cg::solve_spd_block(m, &apply_l, &proj_pc, &rhs, cg_tol, max_iter_l)
+                .map_err(|err| reduce_err("B", &err))?;
+            for (t, x) in xs.iter().enumerate() {
+                let jk = kept_pos[chunk[t]];
+                for (i, &cell) in keep.iter().enumerate() {
+                    b[(i, jk)] = cell_links[cell].iter().map(|&(l, s)| s * x[l]).sum();
                 }
             }
         }
-        for a in 0..k {
-            for bcol in (a + 1)..k {
-                let v = 0.5 * (b_kk[(a, bcol)] + b_kk[(bcol, a)]);
-                b_kk[(a, bcol)] = v;
-                b_kk[(bcol, a)] = v;
-            }
-        }
+        symmetrize(&mut b);
 
-        // --- B_ee as a certified low-rank column compression ------------
-        // The eliminated block dominates the scalar path's working set
-        // (dense 8·e² bytes). Here its columns are generated panel-wise by
-        // the same block solves and compressed on the fly; the Schur
-        // complement is then taken iteratively against the compressed
-        // operator, so the dense e² array is never materialized.
-        let (b, elim_clusters) = if e == 0 {
-            (b_kk.clone(), Vec::new())
-        } else {
-            let elim_points: Vec<(f64, f64)> = elim
-                .iter()
-                .map(|&i| {
-                    let c = mesh.cell_center(i);
-                    (c.x, c.y)
-                })
-                .collect();
-            let bee = pdn_bem::CompressedColumns::build(
-                &elim_points,
-                &ck.spec,
-                panel,
-                &mut |local: &[usize]| {
-                    let cells: Vec<usize> = local.iter().map(|&q| elim[q]).collect();
-                    let cols = b_panel(&cells)?;
-                    Ok(cols
-                        .into_iter()
-                        .map(|y| elim.iter().map(|&i| y[i]).collect())
-                        .collect())
-                },
-            )
-            .map_err(breakdown)?;
-            let elim_clusters = bee.leaf_clusters(coarsen);
-            let mats = bee.cluster_restrictions(&elim_clusters);
-            let bee_pc = pdn_num::BlockJacobiPreconditioner::from_blocks(
-                e,
-                elim_clusters.iter().cloned().zip(mats).collect(),
-            )
-            .map_err(|err| {
-                ExtractCircuitError::NumericalBreakdown(format!(
-                    "hierarchical B_ee preconditioner construction failed: {err} \
-                     (does every net keep at least one node?)"
-                ))
-            })?;
-            let apply_bee = |cols: &[Vec<f64>]| -> Vec<Vec<f64>> { bee.matvec_block(cols) };
-            let b = kron_reduce_operator(
-                &b_kk,
-                &b_ke,
-                &apply_bee,
-                &bee_pc,
-                panel,
-                cg_tol,
-                10 * e.max(10) + 100,
-            )
-            .map_err(|err| {
-                ExtractCircuitError::NumericalBreakdown(format!(
-                    "iterative Kron reduction of B failed: {err} \
-                     (does every net keep at least one node?)"
-                ))
-            })?;
-            (b, elim_clusters)
-        };
-        drop(b_kk);
-        drop(b_ke);
-
-        // --- G: sparse DC Laplacian, Schur complement in operator form --
+        // --- G: sparse DC Laplacian, Schur complement by direct solve --
+        // Exact entry by entry: far-pair conductances are tiny, and the
+        // realization is discontinuous in them (a branch's series
+        // R = 1/g exists only for g > 0), so a normwise-accurate
+        // iterative reduction would not do.
         let mut g_kk = Matrix::zeros(k, k);
-        let mut g_ke = Matrix::zeros(k, e);
+        let mut g_ke: Vec<Vec<(usize, f64)>> = vec![Vec::new(); k];
         let mut g_ee_diag = vec![0.0; e];
         let mut g_ee_off: Vec<(usize, usize, f64)> = Vec::new();
         let mut has_g = false;
@@ -735,12 +459,12 @@ impl EquivalentCircuit {
                     (ak, _) if ak != usize::MAX => {
                         g_kk[(ak, ak)] += g;
                         g_ee_diag[elim_pos[b2]] += g;
-                        g_ke[(ak, elim_pos[b2])] -= g;
+                        g_ke[ak].push((elim_pos[b2], -g));
                     }
                     (_, bk) if bk != usize::MAX => {
                         g_kk[(bk, bk)] += g;
                         g_ee_diag[elim_pos[a]] += g;
-                        g_ke[(bk, elim_pos[a])] -= g;
+                        g_ke[bk].push((elim_pos[a], -g));
                     }
                     _ => {
                         let (pa, pb) = (elim_pos[a], elim_pos[b2]);
@@ -751,74 +475,11 @@ impl EquivalentCircuit {
                 }
             }
         }
-        let g = if !has_g {
-            Matrix::zeros(k, k)
-        } else if e == 0 {
-            g_kk
+        let g = if has_g {
+            kron_reduce_sparse(&g_kk, &g_ke, &g_ee_diag, &g_ee_off)
+                .map_err(|err| reduce_err("G", &err))?
         } else {
-            // Block-Jacobi over the same geometric clusters as B_ee; the
-            // per-cluster restrictions of the sparse Laplacian are stamped
-            // directly.
-            let mut cluster_of = vec![(usize::MAX, usize::MAX); e];
-            for (ci, cl) in elim_clusters.iter().enumerate() {
-                for (p, &i) in cl.iter().enumerate() {
-                    cluster_of[i] = (ci, p);
-                }
-            }
-            let mut g_mats: Vec<Matrix<f64>> = elim_clusters
-                .iter()
-                .map(|cl| {
-                    let mut mat = Matrix::zeros(cl.len(), cl.len());
-                    for (p, &i) in cl.iter().enumerate() {
-                        mat[(p, p)] = g_ee_diag[i];
-                    }
-                    mat
-                })
-                .collect();
-            for &(i, j, v) in &g_ee_off {
-                let (ci, pi) = cluster_of[i];
-                let (cj, pj) = cluster_of[j];
-                if ci == cj {
-                    g_mats[ci][(pi, pj)] += v;
-                    g_mats[ci][(pj, pi)] += v;
-                }
-            }
-            let g_pc = pdn_num::BlockJacobiPreconditioner::from_blocks(
-                e,
-                elim_clusters.iter().cloned().zip(g_mats).collect(),
-            )
-            .map_err(|err| {
-                ExtractCircuitError::NumericalBreakdown(format!(
-                    "hierarchical G_ee preconditioner construction failed: {err} \
-                     (does every net keep at least one node?)"
-                ))
-            })?;
-            let apply_gee = |cols: &[Vec<f64>]| -> Vec<Vec<f64>> {
-                pdn_num::parallel::par_map_indexed(cols.len(), |t| {
-                    let x = &cols[t];
-                    let mut y: Vec<f64> = (0..e).map(|i| g_ee_diag[i] * x[i]).collect();
-                    for &(i, j, v) in &g_ee_off {
-                        y[i] += v * x[j];
-                        y[j] += v * x[i];
-                    }
-                    y
-                })
-            };
-            kron_reduce_operator(
-                &g_kk,
-                &g_ke,
-                &apply_gee,
-                &g_pc,
-                panel,
-                cg_tol,
-                10 * e.max(10) + 100,
-            )
-            .map_err(|err| {
-                ExtractCircuitError::NumericalBreakdown(format!(
-                    "iterative Kron reduction of G failed: {err} \
-                     (does every net keep at least one node?)"
-                ))
-            })?
+            Matrix::zeros(k, k)
         };
 
         // --- C = Sᵀ P⁻¹ S, cluster indicators solved in panels ----------
@@ -831,7 +492,7 @@ impl EquivalentCircuit {
         // Same tree-coherent panel order as the B columns (indicator
         // clusters sit around their kept cell).
         let kept_cols: Vec<usize> = kept_tree_order.iter().map(|&i| kept_pos[i]).collect();
-        for chunk in kept_cols.chunks(panel) {
+        for chunk in kept_cols.chunks(BLOCK_CG_PANEL) {
             let rhs: Vec<Vec<f64>> = chunk
                 .iter()
                 .map(|&q| {
@@ -852,13 +513,7 @@ impl EquivalentCircuit {
                 }
             }
         }
-        for a in 0..k {
-            for bcol in (a + 1)..k {
-                let v = 0.5 * (c[(a, bcol)] + c[(bcol, a)]);
-                c[(a, bcol)] = v;
-                c[(bcol, a)] = v;
-            }
-        }
+        symmetrize(&mut c);
 
         let (names, ports) = node_names_and_ports(mesh, keep);
         Ok((
@@ -1646,7 +1301,9 @@ mod tests {
 
     #[test]
     fn compressed_extraction_matches_dense() {
-        // Same mesh and surface impedance through both kernel paths; the
+        // Same mesh and surface impedance through both kernel paths (the
+        // compressed one: panel block CG, hierarchical preconditioners,
+        // constrained B solves, direct sparse G reduction); the
         // macromodels must agree to the compression tolerance (scaled per
         // matrix, since B, G, and C live on wildly different scales).
         let build = |spec: Option<pdn_bem::CompressionSpec>| {
@@ -1707,104 +1364,74 @@ mod tests {
     }
 
     #[test]
-    fn block_solver_extraction_matches_dense() {
-        // The BlockCg route (panel block CG, hierarchical preconditioners,
-        // compressed B_ee with iterative Schur) against the dense path:
-        // same certified-tolerance contract as the scalar compressed
-        // route.
+    fn compressed_keep_all_has_no_eliminated_block() {
+        // NodeSelection::All leaves e == 0: the projector is the
+        // identity, and B is then AᵀL⁻¹A itself. Reference: a direct
+        // Cholesky solve of the same (densified) compressed L, so only
+        // the CG error is measured.
+        let mut mesh = PlaneMesh::build(&Polygon::rectangle(mm(12.0), mm(8.0)), mm(1.0)).unwrap();
+        mesh.bind_port("P1", Point::new(mm(2.0), mm(4.0))).unwrap();
+        let pair = PlanePair::new(0.3e-3, 4.2).unwrap();
+        let zs = SurfaceImpedance::from_sheet_resistance(5e-3);
+        let opts = BemOptions::default().with_compression(pdn_bem::CompressionSpec {
+            leaf_size: 8,
+            ..pdn_bem::CompressionSpec::default()
+        });
+        let sys = BemSystem::assemble(mesh, &pair, &zs, &opts).unwrap();
+        let (eq, keep) = EquivalentCircuit::from_bem_detailed(&sys, &NodeSelection::All).unwrap();
+        let n = sys.mesh().cell_count();
+        assert_eq!(keep, (0..n).collect::<Vec<_>>());
+        let links = sys.mesh().links();
+        let mut y = Matrix::zeros(links.len(), n);
+        for (l, link) in links.iter().enumerate() {
+            y[(l, link.a)] = 1.0;
+            y[(l, link.b)] = -1.0;
+        }
+        let l_dense = sys.compressed().unwrap().l.to_dense();
+        CholeskyDecomposition::new(&l_dense)
+            .unwrap()
+            .solve_lower_in_place(&mut y)
+            .unwrap();
+        let b_ref = pdn_num::gram(&y);
+        let scale = b_ref.max_abs();
+        for i in 0..n {
+            for j in 0..n {
+                assert!(
+                    (b_ref[(i, j)] - eq.b[(i, j)]).abs() <= 1e-6 * scale,
+                    "B({i},{j}): direct {} vs compressed {}",
+                    b_ref[(i, j)],
+                    eq.b[(i, j)]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compressed_single_kept_node_has_zero_reluctance() {
+        // One port, PortsOnly: the kept cell's incidence column lies in
+        // the span of the eliminated ones, so its reduced B column is
+        // exactly zero (the dense Kron reduction's is zero up to
+        // rounding), and the one-node model is the plate capacitance.
         let build = |spec: Option<pdn_bem::CompressionSpec>| {
             let mut mesh =
                 PlaneMesh::build(&Polygon::rectangle(mm(24.0), mm(12.0)), mm(1.0)).unwrap();
             mesh.bind_port("P1", Point::new(mm(3.0), mm(6.0))).unwrap();
-            mesh.bind_port("P2", Point::new(mm(21.0), mm(6.0))).unwrap();
             let pair = PlanePair::new(0.3e-3, 4.2).unwrap();
             let zs = SurfaceImpedance::from_sheet_resistance(5e-3);
             let opts = BemOptions {
                 compression: spec,
                 ..BemOptions::default()
             };
-            BemSystem::assemble(mesh, &pair, &zs, &opts).unwrap()
+            let sys = BemSystem::assemble(mesh, &pair, &zs, &opts).unwrap();
+            EquivalentCircuit::from_bem(&sys, &NodeSelection::PortsOnly).unwrap()
         };
-        let spec = pdn_bem::CompressionSpec {
-            leaf_size: 16,
-            ..pdn_bem::CompressionSpec::default()
-        }
-        .with_block_solver();
-        assert!(spec.solver.is_block());
         let dense = build(None);
-        let block = build(Some(spec));
-        let sel = NodeSelection::PortsAndGrid { stride: 3 };
-        let (eq_d, keep_d) = EquivalentCircuit::from_bem_detailed(&dense, &sel).unwrap();
-        let (eq_b, keep_b) = EquivalentCircuit::from_bem_detailed(&block, &sel).unwrap();
-        assert_eq!(keep_d, keep_b);
-        assert_eq!(eq_d.names, eq_b.names);
-        let close = |a: &Matrix<f64>, b: &Matrix<f64>, what: &str| {
-            let scale = a.max_abs().max(1e-300);
-            for i in 0..a.nrows() {
-                for j in 0..a.ncols() {
-                    let d = (a[(i, j)] - b[(i, j)]).abs();
-                    assert!(
-                        d <= 1e-4 * scale,
-                        "{what}({i},{j}): dense {} vs block {} (rel {:.3e})",
-                        a[(i, j)],
-                        b[(i, j)],
-                        d / scale
-                    );
-                }
-            }
-        };
-        close(&eq_d.b, &eq_b.b, "B");
-        close(&eq_d.g, &eq_b.g, "G");
-        close(&eq_d.c, &eq_b.c, "C");
-        for &f in &[1e8, 1e9, 4e9] {
-            let zd = eq_d.impedance(f).unwrap();
-            let zb = eq_b.impedance(f).unwrap();
-            let scale = zd.max_abs();
-            for i in 0..zd.nrows() {
-                for j in 0..zd.ncols() {
-                    assert!((zd[(i, j)] - zb[(i, j)]).norm() <= 1e-4 * scale);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn block_solver_keep_all_has_no_eliminated_block() {
-        // NodeSelection::All leaves e == 0: the block route must skip the
-        // compressed-columns machinery entirely and still agree with the
-        // scalar compressed route bit-for-bit in structure.
-        let build = |solver: pdn_bem::SolverSpec| {
-            let mut mesh =
-                PlaneMesh::build(&Polygon::rectangle(mm(12.0), mm(8.0)), mm(1.0)).unwrap();
-            mesh.bind_port("P1", Point::new(mm(2.0), mm(4.0))).unwrap();
-            let pair = PlanePair::new(0.3e-3, 4.2).unwrap();
-            let zs = SurfaceImpedance::from_sheet_resistance(5e-3);
-            let opts = BemOptions {
-                compression: Some(
-                    pdn_bem::CompressionSpec {
-                        leaf_size: 8,
-                        ..pdn_bem::CompressionSpec::default()
-                    }
-                    .with_solver(solver),
-                ),
-                ..BemOptions::default()
-            };
-            BemSystem::assemble(mesh, &pair, &zs, &opts).unwrap()
-        };
-        let scalar = build(pdn_bem::SolverSpec::ScalarJacobi);
-        let block = build(pdn_bem::SolverSpec::BlockCg {
-            panel: 16,
-            coarsen: false,
-        });
-        let (eq_s, _) = EquivalentCircuit::from_bem_detailed(&scalar, &NodeSelection::All).unwrap();
-        let (eq_b, _) = EquivalentCircuit::from_bem_detailed(&block, &NodeSelection::All).unwrap();
-        assert_eq!(eq_s.node_count(), eq_b.node_count());
-        let scale = eq_s.b.max_abs();
-        for i in 0..eq_s.b.nrows() {
-            for j in 0..eq_s.b.ncols() {
-                assert!((eq_s.b[(i, j)] - eq_b.b[(i, j)]).abs() <= 1e-6 * scale);
-            }
-        }
+        let comp = build(Some(pdn_bem::CompressionSpec {
+            leaf_size: 8,
+            ..pdn_bem::CompressionSpec::default()
+        }));
+        assert_eq!(comp.b[(0, 0)], 0.0);
+        assert!((comp.c[(0, 0)] - dense.c[(0, 0)]).abs() <= 1e-4 * dense.c[(0, 0)]);
     }
 
     #[test]

@@ -51,5 +51,5 @@ pub mod taylor;
 pub use circuit::{
     Branch, EquivalentCircuit, ExtractCircuitError, NodeSelection, Realization, RomSpec,
 };
-pub use reduce::{kron_reduce, kron_reduce_blocks, kron_reduce_operator};
+pub use reduce::kron_reduce;
 pub use resonance::{find_impedance_peaks, linear_grid, peaks_on_grid};

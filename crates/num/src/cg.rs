@@ -1,30 +1,24 @@
-//! Preconditioned conjugate-gradient solvers for symmetric
+//! Preconditioned block conjugate gradients for symmetric
 //! positive-definite systems.
 //!
-//! The direct LU/Cholesky factorizations serve every extraction in this
-//! toolkit comfortably; CG exists for the scaling path — meshes with many
+//! The direct LU/Cholesky factorizations serve every dense extraction in
+//! this toolkit; CG exists for the compressed path — meshes with many
 //! thousands of cells where `O(n³)` factorization becomes the bottleneck
 //! but the SPD operators (potential coefficients, inductance) remain well
-//! conditioned after preconditioning. Three drivers share one contract:
+//! conditioned after preconditioning. One driver,
+//! [`solve_spd_block`], solves multi-RHS panels: one operator application
+//! per iteration covers the whole column panel, the direction Gram matrix
+//! is rank-revealed by pivoted Cholesky (dependent directions deflate
+//! instead of breaking down), and converged columns retire from the panel
+//! so kernel traffic is never spent on them again. A single right-hand
+//! side is a one-column panel.
 //!
-//! * [`solve_spd`] / [`solve_spd_op`] — scalar Jacobi-preconditioned CG
-//!   (matrix and operator forms, bit-identical to each other);
-//! * [`solve_spd_pc`] — scalar CG with a caller-supplied
-//!   [`Preconditioner`] (hierarchical block-Jacobi for the compressed
-//!   BEM kernels);
-//! * [`solve_spd_block`] — multi-RHS block CG: one operator application
-//!   per iteration covers the whole column panel, the direction Gram
-//!   matrix is rank-revealed by pivoted Cholesky (dependent directions
-//!   deflate instead of breaking down), and converged columns retire
-//!   from the panel so kernel traffic is never spent on them again.
-//!
-//! All drivers are serial in their recurrences (the only parallelism is
-//! whatever the caller's `apply` closure does internally), so solutions
-//! are bit-identical for any `PDN_THREADS`. Set `PDN_CG_STATS=1` to
-//! print per-solve iteration/deflation/residual diagnostics to stderr.
+//! The recurrences are serial (the only parallelism is whatever the
+//! caller's `apply_block` closure does internally), so solutions are
+//! bit-identical for any `PDN_THREADS`. Set `PDN_CG_STATS=1` to print
+//! per-solve iteration/deflation/residual diagnostics to stderr.
 
-use crate::precond::{JacobiPreconditioner, Preconditioner};
-use crate::{Matrix, Vector};
+use crate::precond::Preconditioner;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -98,8 +92,8 @@ fn cg_stats_enabled() -> bool {
     std::env::var("PDN_CG_STATS").as_deref() == Ok("1")
 }
 
-/// Global CG iteration counter — every completed solver iteration
-/// (scalar, or one panel iteration of the block driver) adds one.
+/// Global CG iteration counter — every panel iteration of
+/// [`solve_spd_block`] adds one.
 static CG_ITERATIONS: AtomicUsize = AtomicUsize::new(0);
 
 /// Monotone process-wide count of CG iterations across every solve in
@@ -108,158 +102,6 @@ static CG_ITERATIONS: AtomicUsize = AtomicUsize::new(0);
 /// in the extraction benchmarks.
 pub fn cg_iteration_count() -> usize {
     CG_ITERATIONS.load(Ordering::Relaxed)
-}
-
-/// Solves `A·x = b` for symmetric positive-definite `A` with
-/// Jacobi-preconditioned conjugate gradients.
-///
-/// Stops when the residual 2-norm falls below `tol · ‖b‖` or after
-/// `max_iter` iterations.
-///
-/// # Errors
-///
-/// Returns [`IterativeSolveError`] on shape mismatch, non-convergence, or
-/// an indefinite matrix (including a zero or negative diagonal entry,
-/// reported with its index).
-///
-/// # Examples
-///
-/// ```
-/// use pdn_num::{cg::solve_spd, Matrix};
-///
-/// # fn main() -> Result<(), pdn_num::cg::IterativeSolveError> {
-/// let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
-/// let x = solve_spd(&a, &[1.0, 2.0], 1e-12, 100)?;
-/// assert!((4.0 * x[0] + x[1] - 1.0).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-pub fn solve_spd(
-    a: &Matrix<f64>,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-) -> Result<Vector<f64>, IterativeSolveError> {
-    if !a.is_square() || a.nrows() != b.len() {
-        return Err(IterativeSolveError::BadShape);
-    }
-    let diag: Vec<f64> = (0..b.len()).map(|i| a[(i, i)]).collect();
-    solve_spd_op(b.len(), &|x| a.matvec(x), &diag, b, tol, max_iter)
-}
-
-/// Operator form of [`solve_spd`]: solves `A·x = b` given only the
-/// matrix-vector product `apply` and the diagonal of `A` (for the Jacobi
-/// preconditioner). This is the entry point for compressed or otherwise
-/// implicitly represented SPD operators where `A` is never densified.
-///
-/// Stops when the residual 2-norm falls below `tol · ‖b‖` or after
-/// `max_iter` iterations. Identical arithmetic to [`solve_spd`], so the
-/// two agree bit-for-bit on the same operator.
-///
-/// # Errors
-///
-/// Returns [`IterativeSolveError`] on shape mismatch, non-convergence,
-/// or an indefinite operator. A zero or negative diagonal entry on a
-/// claimed-SPD operator is a [`IterativeSolveError::Breakdown`] carrying
-/// the offending index — never a silent substitution.
-pub fn solve_spd_op(
-    n: usize,
-    apply: &dyn Fn(&[f64]) -> Vector<f64>,
-    diag: &[f64],
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-) -> Result<Vector<f64>, IterativeSolveError> {
-    if diag.len() != n {
-        return Err(IterativeSolveError::BadShape);
-    }
-    let pc = JacobiPreconditioner::new(diag)?;
-    solve_spd_pc(n, apply, &pc, b, tol, max_iter)
-}
-
-/// Scalar preconditioned CG with a caller-supplied [`Preconditioner`].
-///
-/// With a [`JacobiPreconditioner`] this is arithmetically identical to
-/// [`solve_spd_op`]; a [`BlockJacobiPreconditioner`] built from the
-/// compressed-kernel cluster tree converges in strictly fewer iterations
-/// on ill-conditioned fine meshes (see `docs/COMPRESSION.md`).
-///
-/// [`BlockJacobiPreconditioner`]: crate::precond::BlockJacobiPreconditioner
-///
-/// # Errors
-///
-/// Returns [`IterativeSolveError`] on shape mismatch, non-convergence,
-/// or an indefinite operator.
-pub fn solve_spd_pc(
-    n: usize,
-    apply: &dyn Fn(&[f64]) -> Vector<f64>,
-    pc: &dyn Preconditioner,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-) -> Result<Vector<f64>, IterativeSolveError> {
-    if pc.len() != n || b.len() != n {
-        return Err(IterativeSolveError::BadShape);
-    }
-    let b_norm = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if b_norm == 0.0 {
-        return Ok(vec![0.0; n]);
-    }
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut z = vec![0.0; n];
-    pc.apply_into(&r, &mut z);
-    let mut p = z.clone();
-    let mut rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
-    for it in 0..max_iter {
-        CG_ITERATIONS.fetch_add(1, Ordering::Relaxed);
-        let ap = apply(&p);
-        if ap.len() != n {
-            return Err(IterativeSolveError::BadShape);
-        }
-        let p_ap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
-        if p_ap <= 0.0 {
-            return Err(IterativeSolveError::Breakdown { index: None });
-        }
-        let alpha = rz / p_ap;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let r_norm = r.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if r_norm <= tol * b_norm {
-            if cg_stats_enabled() {
-                eprintln!(
-                    "[pdn-cg] scalar: n={n} iters={} relres={:.3e} jacobi={}",
-                    it + 1,
-                    r_norm / b_norm,
-                    pc.is_jacobi(),
-                );
-            }
-            return Ok(x);
-        }
-        if it + 1 == max_iter {
-            return Err(IterativeSolveError::NotConverged {
-                iterations: max_iter,
-                residual: r_norm / b_norm,
-                tol,
-                jacobi: pc.is_jacobi(),
-            });
-        }
-        pc.apply_into(&r, &mut z);
-        let rz_new: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-    }
-    Err(IterativeSolveError::NotConverged {
-        iterations: max_iter,
-        residual: 1.0,
-        tol,
-        jacobi: pc.is_jacobi(),
-    })
 }
 
 /// Lane width of the grouped panel reductions and updates below — a
@@ -400,10 +242,8 @@ fn chol_solve_cols(l: &[Vec<f64>], rhs: &mut [Vec<f64>]) {
 /// — the caller's `apply_block` must be deterministic too (the
 /// compressed-kernel block matvecs are).
 ///
-/// Agrees with per-column [`solve_spd_pc`] to the solver tolerance
-/// (property-tested in `tests/block_solver.rs`), not bit-for-bit: the
-/// shared Krylov panel takes a different (shorter) path to the same
-/// tolerance.
+/// Agrees with a direct Cholesky solve to the solver tolerance
+/// (property-tested in `tests/block_solver.rs`).
 ///
 /// # Errors
 ///
@@ -412,6 +252,21 @@ fn chol_solve_cols(l: &[Vec<f64>], rhs: &mut [Vec<f64>]) {
 /// residual, requested tolerance, and a Jacobi hint) when `max_iter` is
 /// exhausted, and [`IterativeSolveError::Breakdown`] when the operator
 /// shows non-positive curvature.
+///
+/// # Examples
+///
+/// ```
+/// use pdn_num::{cg::solve_spd_block, JacobiPreconditioner, Matrix};
+///
+/// # fn main() -> Result<(), pdn_num::cg::IterativeSolveError> {
+/// let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
+/// let pc = JacobiPreconditioner::new(&[4.0, 3.0])?;
+/// let apply = |cols: &[Vec<f64>]| -> Vec<Vec<f64>> { cols.iter().map(|c| a.matvec(c)).collect() };
+/// let x = solve_spd_block(2, &apply, &pc, &[vec![1.0, 2.0]], 1e-12, 100)?;
+/// assert!((4.0 * x[0][0] + x[0][1] - 1.0).abs() < 1e-9);
+/// # Ok(())
+/// # }
+/// ```
 #[allow(clippy::type_complexity, clippy::needless_range_loop)]
 pub fn solve_spd_block(
     n: usize,
@@ -478,8 +333,8 @@ pub fn solve_spd_block(
             .map(|i| gram[i][i])
             .fold(f64::NEG_INFINITY, f64::max);
         if d0 <= 0.0 {
-            // No direction has positive curvature: the operator is not
-            // SPD (the scalar driver's `pᵀAp ≤ 0` check, panel-wide).
+            // No direction has positive curvature (`pᵀAp ≤ 0` for every
+            // direction): the operator is not SPD.
             return Err(IterativeSolveError::Breakdown { index: None });
         }
         let thresh = d0 * (sa as f64) * f64::EPSILON * 64.0;
@@ -566,7 +421,8 @@ pub fn solve_spd_block(
 mod tests {
     use super::*;
     use crate::approx_eq;
-    use crate::precond::BlockJacobiPreconditioner;
+    use crate::precond::{BlockJacobiPreconditioner, JacobiPreconditioner};
+    use crate::{CholeskyDecomposition, Matrix};
 
     fn spd(n: usize) -> Matrix<f64> {
         let m = Matrix::from_fn(n, n, |i, j| ((i * 5 + j * 3) % 13) as f64 / 13.0);
@@ -577,11 +433,37 @@ mod tests {
         a
     }
 
+    fn block_apply(a: &Matrix<f64>) -> impl Fn(&[Vec<f64>]) -> Vec<Vec<f64>> + '_ {
+        |cols: &[Vec<f64>]| cols.iter().map(|c| a.matvec(c)).collect()
+    }
+
+    fn jacobi(a: &Matrix<f64>) -> JacobiPreconditioner {
+        let diag: Vec<f64> = (0..a.nrows()).map(|i| a[(i, i)]).collect();
+        JacobiPreconditioner::new(&diag).unwrap()
+    }
+
+    /// One right-hand side as a one-column panel.
+    fn solve_one(a: &Matrix<f64>, b: &[f64], tol: f64, max_iter: usize) -> Vec<f64> {
+        let n = a.nrows();
+        let mut xs =
+            solve_spd_block(n, &block_apply(a), &jacobi(a), &[b.to_vec()], tol, max_iter).unwrap();
+        xs.pop().unwrap()
+    }
+
+    fn residual_norm(a: &Matrix<f64>, x: &[f64], b: &[f64]) -> f64 {
+        a.matvec(x)
+            .iter()
+            .zip(b)
+            .map(|(p, q)| (p - q) * (p - q))
+            .sum::<f64>()
+            .sqrt()
+    }
+
     #[test]
     fn matches_direct_solve() {
         let a = spd(30);
         let b: Vec<f64> = (0..30).map(|i| (i as f64 * 0.37).sin()).collect();
-        let x_cg = solve_spd(&a, &b, 1e-12, 500).unwrap();
+        let x_cg = solve_one(&a, &b, 1e-12, 500);
         let x_lu = crate::lu::solve(a.clone(), &b).unwrap();
         for i in 0..30 {
             assert!(approx_eq(x_cg[i], x_lu[i], 1e-8), "entry {i}");
@@ -593,75 +475,8 @@ mod tests {
         // CG converges in at most n iterations in exact arithmetic.
         let a = spd(5);
         let b = vec![1.0; 5];
-        let x = solve_spd(&a, &b, 1e-12, 10).unwrap();
-        let r: f64 = a
-            .matvec(&x)
-            .iter()
-            .zip(&b)
-            .map(|(p, q)| (p - q) * (p - q))
-            .sum::<f64>()
-            .sqrt();
-        assert!(r < 1e-9);
-    }
-
-    #[test]
-    fn zero_rhs_gives_zero() {
-        let a = spd(4);
-        let x = solve_spd(&a, &[0.0; 4], 1e-12, 10).unwrap();
-        assert!(x.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn indefinite_matrix_breaks_down() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]);
-        // The negative diagonal trips the Jacobi construction, with the
-        // offending index reported.
-        assert_eq!(
-            solve_spd(&a, &[1.0, 1.0], 1e-12, 10).unwrap_err(),
-            IterativeSolveError::Breakdown { index: Some(1) }
-        );
-    }
-
-    #[test]
-    fn indefinite_with_positive_diagonal_breaks_down_in_iteration() {
-        // Positive diagonal but indefinite: breakdown has no single
-        // diagonal culprit.
-        let a = Matrix::from_rows(&[&[1.0, 4.0], &[4.0, 1.0]]);
-        // [1, -1] is the negative-eigenvalue direction.
-        assert_eq!(
-            solve_spd(&a, &[1.0, -1.0], 1e-12, 10).unwrap_err(),
-            IterativeSolveError::Breakdown { index: None }
-        );
-    }
-
-    #[test]
-    fn zero_diagonal_is_breakdown_with_index_not_silent_substitution() {
-        // A zero diagonal entry on a claimed-SPD operator used to be
-        // silently replaced by 1.0 in the Jacobi preconditioner.
-        let diag = [2.0, 0.0, 3.0];
-        let err = solve_spd_op(3, &|v| v.to_vec(), &diag, &[1.0; 3], 1e-9, 10).unwrap_err();
-        assert_eq!(err, IterativeSolveError::Breakdown { index: Some(1) });
-        assert!(err.to_string().contains("index 1"), "{err}");
-    }
-
-    #[test]
-    fn iteration_cap_reported() {
-        // An ill-conditioned SPD system with a tiny iteration budget.
-        let mut a = spd(20);
-        a[(0, 0)] += 1e9;
-        match solve_spd(&a, &[1.0; 20], 1e-14, 2) {
-            Err(IterativeSolveError::NotConverged {
-                iterations,
-                tol,
-                jacobi,
-                ..
-            }) => {
-                assert_eq!(iterations, 2);
-                assert_eq!(tol, 1e-14);
-                assert!(jacobi);
-            }
-            other => panic!("expected NotConverged, got {other:?}"),
-        }
+        let x = solve_one(&a, &b, 1e-12, 10);
+        assert!(residual_norm(&a, &x, &b) < 1e-9);
     }
 
     #[test]
@@ -688,32 +503,22 @@ mod tests {
     #[test]
     fn shape_mismatch_rejected() {
         let a = spd(3);
+        let pc = jacobi(&a);
+        // Right-hand side shorter than the operator.
         assert_eq!(
-            solve_spd(&a, &[1.0, 2.0], 1e-9, 10).unwrap_err(),
+            solve_spd_block(3, &block_apply(&a), &pc, &[vec![1.0, 2.0]], 1e-9, 10).unwrap_err(),
             IterativeSolveError::BadShape
         );
-    }
-
-    #[test]
-    fn operator_form_is_bit_identical_to_matrix_form() {
-        let a = spd(24);
-        let b: Vec<f64> = (0..24).map(|i| (i as f64 * 0.61).cos()).collect();
-        let x_mat = solve_spd(&a, &b, 1e-12, 500).unwrap();
-        let diag: Vec<f64> = (0..24).map(|i| a[(i, i)]).collect();
-        let x_op = solve_spd_op(24, &|v| a.matvec(v), &diag, &b, 1e-12, 500).unwrap();
-        for i in 0..24 {
-            assert_eq!(x_mat[i].to_bits(), x_op[i].to_bits(), "entry {i}");
-        }
-    }
-
-    #[test]
-    fn operator_form_rejects_shape_mismatch() {
+        // Preconditioner of the wrong dimension.
+        let pc2 = JacobiPreconditioner::new(&[1.0, 1.0]).unwrap();
         assert_eq!(
-            solve_spd_op(3, &|v| v.to_vec(), &[1.0, 1.0], &[1.0; 3], 1e-9, 10).unwrap_err(),
+            solve_spd_block(3, &block_apply(&a), &pc2, &[vec![1.0; 3]], 1e-9, 10).unwrap_err(),
             IterativeSolveError::BadShape
         );
+        // Operator returning mis-shaped columns.
+        let short = |cols: &[Vec<f64>]| -> Vec<Vec<f64>> { vec![vec![0.0; 2]; cols.len()] };
         assert_eq!(
-            solve_spd_op(3, &|_| vec![0.0; 2], &[1.0; 3], &[1.0; 3], 1e-9, 10).unwrap_err(),
+            solve_spd_block(3, &short, &pc, &[vec![1.0; 3]], 1e-9, 10).unwrap_err(),
             IterativeSolveError::BadShape
         );
     }
@@ -731,28 +536,14 @@ mod tests {
             }
         });
         let b: Vec<f64> = (0..n).map(|i| if i == 7 { 1.0 } else { 0.0 }).collect();
-        let x = solve_spd(&a, &b, 1e-10, 300).unwrap();
-        let r: f64 = a
-            .matvec(&x)
-            .iter()
-            .zip(&b)
-            .map(|(p, q)| (p - q) * (p - q))
-            .sum::<f64>()
-            .sqrt();
-        assert!(r < 1e-8);
-    }
-
-    // --- block CG ---------------------------------------------------------
-
-    fn block_apply(a: &Matrix<f64>) -> impl Fn(&[Vec<f64>]) -> Vec<Vec<f64>> + '_ {
-        |cols: &[Vec<f64>]| cols.iter().map(|c| a.matvec(c)).collect()
+        let x = solve_one(&a, &b, 1e-10, 300);
+        assert!(residual_norm(&a, &x, &b) < 1e-8);
     }
 
     #[test]
-    fn block_agrees_with_scalar_per_column() {
+    fn block_agrees_with_direct_cholesky_per_column() {
         let a = spd(40);
-        let diag: Vec<f64> = (0..40).map(|i| a[(i, i)]).collect();
-        let pc = JacobiPreconditioner::new(&diag).unwrap();
+        let pc = jacobi(&a);
         let b: Vec<Vec<f64>> = (0..6)
             .map(|j| {
                 (0..40)
@@ -761,14 +552,15 @@ mod tests {
             })
             .collect();
         let xs = solve_spd_block(40, &block_apply(&a), &pc, &b, 1e-11, 500).unwrap();
+        let ch = CholeskyDecomposition::new(&a).unwrap();
         for (j, col) in b.iter().enumerate() {
-            let x_scalar = solve_spd_pc(40, &|v| a.matvec(v), &pc, col, 1e-11, 500).unwrap();
+            let x_ref = ch.solve(col).unwrap();
             for i in 0..40 {
                 assert!(
-                    (xs[j][i] - x_scalar[i]).abs() <= 1e-8 * x_scalar[i].abs().max(1.0),
+                    (xs[j][i] - x_ref[i]).abs() <= 1e-8 * x_ref[i].abs().max(1.0),
                     "col {j} entry {i}: {} vs {}",
                     xs[j][i],
-                    x_scalar[i]
+                    x_ref[i]
                 );
             }
         }
@@ -781,8 +573,7 @@ mod tests {
         // deficient from iteration one; the solver must deflate, not
         // break down, and both columns must solve.
         let a = spd(24);
-        let diag: Vec<f64> = (0..24).map(|i| a[(i, i)]).collect();
-        let pc = JacobiPreconditioner::new(&diag).unwrap();
+        let pc = jacobi(&a);
         let col: Vec<f64> = (0..24).map(|i| (i as f64 * 0.4).cos()).collect();
         let b = vec![col.clone(), col.clone(), col];
         let xs = solve_spd_block(24, &block_apply(&a), &pc, &b, 1e-11, 200).unwrap();
@@ -802,8 +593,7 @@ mod tests {
     #[test]
     fn block_handles_zero_and_empty_columns() {
         let a = spd(8);
-        let diag: Vec<f64> = (0..8).map(|i| a[(i, i)]).collect();
-        let pc = JacobiPreconditioner::new(&diag).unwrap();
+        let pc = jacobi(&a);
         let b = vec![vec![0.0; 8], (0..8).map(|i| i as f64).collect()];
         let xs = solve_spd_block(8, &block_apply(&a), &pc, &b, 1e-11, 100).unwrap();
         assert!(xs[0].iter().all(|&v| v == 0.0));
@@ -820,8 +610,7 @@ mod tests {
     fn block_reports_worst_residual_on_iteration_cap() {
         let mut a = spd(20);
         a[(0, 0)] += 1e9;
-        let diag: Vec<f64> = (0..20).map(|i| a[(i, i)]).collect();
-        let pc = JacobiPreconditioner::new(&diag).unwrap();
+        let pc = jacobi(&a);
         let b = vec![vec![1.0; 20], (0..20).map(|i| i as f64 - 10.0).collect()];
         let apply = block_apply(&a);
         match solve_spd_block(20, &apply, &pc, &b, 1e-14, 2) {

@@ -1,6 +1,6 @@
-//! Preconditioners for the iterative SPD solvers in [`crate::cg`].
+//! Preconditioners for the block-CG SPD solver in [`crate::cg`].
 //!
-//! The scalar and block CG drivers take the preconditioner as a
+//! The block-CG driver takes the preconditioner as a
 //! [`Preconditioner`] trait object instead of a hardcoded Jacobi
 //! diagonal, so callers with structure to exploit — the compressed BEM
 //! kernels carry a geometric cluster tree — can supply a hierarchical

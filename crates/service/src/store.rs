@@ -317,12 +317,23 @@ impl ExtractionCache {
         };
         let board = &board;
         let key = BoardKey::of(board, selection);
+        self.single_flight(&key, || self.lead(board, selection, &key))
+    }
+
+    /// Memory-tier lookup plus single-flight admission for `key`: the
+    /// first caller runs `lead` and memoizes a successful result in the
+    /// LRU tier, concurrent callers block until it finishes and then
+    /// adopt the memoized model (or, after a failure, retry as leader).
+    fn single_flight(
+        &self,
+        key: &BoardKey,
+        lead: impl FnOnce() -> Result<(Arc<ExtractedModel>, CacheOutcome), BuildBoardError>,
+    ) -> Result<(Arc<ExtractedModel>, CacheOutcome), BuildBoardError> {
         let mut waited = false;
-        // Tier 1 + single-flight admission.
         {
             let mut st = self.state.lock().unwrap();
             loop {
-                if let Some(model) = Self::lru_get(&mut st, &key) {
+                if let Some(model) = Self::lru_get(&mut st, key) {
                     let counter = if waited {
                         &self.stats.coalesced
                     } else {
@@ -336,7 +347,7 @@ impl ExtractionCache {
                     };
                     return Ok((model, outcome));
                 }
-                if !st.in_flight.contains(&key) {
+                if !st.in_flight.contains(key) {
                     st.in_flight.insert(key.clone());
                     break; // we are the leader
                 }
@@ -344,15 +355,17 @@ impl ExtractionCache {
                 st = self.flight_done.wait(st).unwrap();
             }
         }
-        let result = self.lead(board, selection, &key);
-        {
-            let mut st = self.state.lock().unwrap();
-            if let Ok((model, _)) = &result {
-                Self::lru_put(&mut st, self.capacity, &key, Arc::clone(model));
-            }
-            st.in_flight.remove(&key);
+        // Released on drop, so a leader that panics still frees the key
+        // and wakes its waiters instead of blocking them forever.
+        let mut release = FlightRelease {
+            cache: self,
+            key,
+            model: None,
+        };
+        let result = lead();
+        if let Ok((model, _)) = &result {
+            release.model = Some(Arc::clone(model));
         }
-        self.flight_done.notify_all();
         result
     }
 
@@ -459,6 +472,32 @@ impl ExtractionCache {
     }
 }
 
+/// Drop guard of a single-flight leader: under one lock, memoizes the
+/// leader's model (if it produced one) in the memory tier and removes
+/// the key from `in_flight`, then wakes every waiter — whether the
+/// leader returned or unwound.
+struct FlightRelease<'a> {
+    cache: &'a ExtractionCache,
+    key: &'a BoardKey,
+    model: Option<Arc<ExtractedModel>>,
+}
+
+impl Drop for FlightRelease<'_> {
+    fn drop(&mut self) {
+        let mut st = self
+            .cache
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(model) = self.model.take() {
+            ExtractionCache::lru_put(&mut st, self.cache.capacity, self.key, model);
+        }
+        st.in_flight.remove(self.key);
+        drop(st);
+        self.cache.flight_done.notify_all();
+    }
+}
+
 impl fmt::Debug for ExtractionCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ExtractionCache")
@@ -474,4 +513,40 @@ impl fmt::Debug for ExtractionCache {
 /// round trips.
 pub fn file_digest_hex(bytes: &[u8]) -> String {
     hex(&sha256(bytes))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pdn_core::{ChipSpec, PlaneSpec};
+    use pdn_geom::units::mm;
+    use pdn_geom::Point;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn panicking_leader_releases_its_key() {
+        let root = std::env::temp_dir().join(format!(
+            "pdn-service-unit-{}-panicking-leader",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&root).ok();
+        let cache = ExtractionCache::at(&root, 2);
+        let plane = PlaneSpec::rectangle(mm(40.0), mm(30.0), 0.5e-3, 4.5)
+            .unwrap()
+            .with_sheet_resistance(1e-3)
+            .with_cell_size(mm(5.0));
+        let board = BoardSpec::new(plane, 3.3, Point::new(mm(2.0), mm(2.0)))
+            .with_chip(ChipSpec::cmos("U1", Point::new(mm(30.0), mm(20.0)), 4));
+        let sel = NodeSelection::PortsOnly;
+        let key = BoardKey::of(&board, &sel);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            cache.single_flight(&key, || panic!("leader panicked mid-extraction"))
+        }));
+        assert!(caught.is_err());
+        assert!(cache.state.lock().unwrap().in_flight.is_empty());
+        // A stale in-flight key would park this call forever.
+        let (_, outcome) = cache.get_or_extract(&board, &sel).unwrap();
+        assert_eq!(outcome, CacheOutcome::Extracted);
+        std::fs::remove_dir_all(&root).ok();
+    }
 }

@@ -6,7 +6,7 @@ use crate::plan::ShardPlan;
 use crate::stats;
 use pdn_bem::{
     assemble_link_matrices, assemble_matrices, compress_link_matrices, cross_block_lumping,
-    BemOptions, BemSystem,
+    BemOptions, BemSystem, BLOCK_CG_COARSEN, BLOCK_CG_PANEL,
 };
 use pdn_extract::{kron_reduce, EquivalentCircuit, NodeSelection};
 use pdn_geom::mesh::{Link, PlaneMesh};
@@ -448,8 +448,8 @@ pub fn extract_sharded(
         if let Some(spec) = req.options.compression {
             // Compressed stitch: the cut-link inductance becomes a
             // certified low-rank kernel (diagonal lumping folded into its
-            // generator) and the columns of L_cut⁻¹ come from CG solves,
-            // scattered straight into B — no dense mc × mc inverse.
+            // generator) and the columns of L_cut⁻¹ come from block-CG
+            // solves, scattered straight into B — no dense mc × mc inverse.
             let lump: Vec<f64> = cut_index.iter().map(|&gl| l_lump[gl]).collect();
             let (l_kernel, r) = compress_link_matrices(
                 &cut_links,
@@ -467,43 +467,31 @@ pub fn extract_sharded(
             r_cut = r;
             let cg_tol = (spec.tol * 1e-2).max(1e-14);
             let max_iter = 10 * mc.max(10) + 100;
-            let cols: Vec<Vec<f64>> =
-                if let pdn_bem::SolverSpec::BlockCg { panel, coarsen } = spec.solver {
-                    // Block route: identity columns in panels through block CG
-                    // under the hierarchical cut-link preconditioner. Panels
-                    // run serially in index order, so the stitch stays
-                    // bit-identical for any `PDN_THREADS`.
-                    let l_pc = l_kernel.block_jacobi(coarsen).map_err(|e| {
-                        ShardExtractError::Composition(format!(
-                            "cut-link preconditioner construction failed: {e}"
-                        ))
-                    })?;
-                    let idx: Vec<usize> = (0..mc).collect();
-                    let mut cols = Vec::with_capacity(mc);
-                    for chunk in idx.chunks(panel) {
-                        let rhs: Vec<Vec<f64>> = chunk
-                            .iter()
-                            .map(|&j| {
-                                let mut ej = vec![0.0; mc];
-                                ej[j] = 1.0;
-                                ej
-                            })
-                            .collect();
-                        let xs = l_kernel
-                            .solve_block(&rhs, &l_pc, cg_tol, max_iter)
-                            .map_err(|e| ShardExtractError::Composition(e.to_string()))?;
-                        cols.extend(xs);
-                    }
-                    cols
-                } else {
-                    parallel::try_par_map_indexed(mc, |j| {
+            // Identity columns in panels through block CG under the
+            // hierarchical cut-link preconditioner. Panels run serially in
+            // index order, so the stitch stays bit-identical for any
+            // `PDN_THREADS`.
+            let l_pc = l_kernel.block_jacobi(BLOCK_CG_COARSEN).map_err(|e| {
+                ShardExtractError::Composition(format!(
+                    "cut-link preconditioner construction failed: {e}"
+                ))
+            })?;
+            let idx: Vec<usize> = (0..mc).collect();
+            let mut cols = Vec::with_capacity(mc);
+            for chunk in idx.chunks(BLOCK_CG_PANEL) {
+                let rhs: Vec<Vec<f64>> = chunk
+                    .iter()
+                    .map(|&j| {
                         let mut ej = vec![0.0; mc];
                         ej[j] = 1.0;
-                        l_kernel
-                            .solve(&ej, cg_tol, max_iter)
-                            .map_err(|e| ShardExtractError::Composition(e.to_string()))
-                    })?
-                };
+                        ej
+                    })
+                    .collect();
+                let xs = l_kernel
+                    .solve_block(&rhs, &l_pc, cg_tol, max_iter)
+                    .map_err(|e| ShardExtractError::Composition(e.to_string()))?;
+                cols.extend(xs);
+            }
             for (j, col) in cols.iter().enumerate() {
                 for (i, &v) in col.iter().enumerate() {
                     b[(na[i], na[j])] += v;
@@ -778,7 +766,9 @@ mod tests {
         // Same two-region split with and without kernel compression: the
         // regional models are identical (regions assemble densely either
         // way), so any difference comes from the compressed cut-link
-        // stitch — which is certified to the compression tolerance.
+        // stitch (panelled block CG under the hierarchical cut-link
+        // preconditioner) — which is certified to the compression
+        // tolerance.
         let shapes = [Polygon::rectangle(mm(20.0), mm(10.0))];
         let ports = [
             ("P1".to_string(), Point::new(mm(2.0), mm(5.0))),
@@ -803,44 +793,6 @@ mod tests {
             for i in 0..2 {
                 for j in 0..2 {
                     let d = (zd[(i, j)] - zc[(i, j)]).norm();
-                    assert!(d <= 1e-5 * scale, "f={f} ({i},{j}): rel {:.3e}", d / scale);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn block_solver_stitch_matches_scalar_stitch() {
-        // The cut-link stitch through the block-CG route (panelled
-        // identity columns under the hierarchical preconditioner) against
-        // the scalar per-column route: both solve the same certified
-        // kernel to the same CG tolerance, so the composed impedances
-        // agree to that tolerance.
-        let shapes = [Polygon::rectangle(mm(20.0), mm(10.0))];
-        let ports = [
-            ("P1".to_string(), Point::new(mm(2.0), mm(5.0))),
-            ("P2".to_string(), Point::new(mm(18.0), mm(5.0))),
-        ];
-        let pair = PlanePair::new(0.3e-3, 4.8).unwrap();
-        let zs = SurfaceImpedance::from_sheet_resistance(2e-3);
-        let scalar_opts =
-            BemOptions::default().with_compression(pdn_bem::CompressionSpec::with_tol(1e-6));
-        let block_opts = BemOptions::default()
-            .with_compression(pdn_bem::CompressionSpec::with_tol(1e-6).with_block_solver());
-        let sel = NodeSelection::PortsOnly;
-        let plan = ShardPlan::grid(2, 1).unwrap();
-        let req_s = request(&shapes, &ports, &pair, &zs, &scalar_opts, &sel, mm(1.0));
-        let req_b = request(&shapes, &ports, &pair, &zs, &block_opts, &sel, mm(1.0));
-        let scalar = extract_sharded(&req_s, &plan).unwrap();
-        let block = extract_sharded(&req_b, &plan).unwrap();
-        assert_eq!(block.report().cut_links, 10);
-        for f in [1e8, 1e9] {
-            let zs_ = scalar.equivalent().impedance(f).unwrap();
-            let zb = block.equivalent().impedance(f).unwrap();
-            let scale = zs_.max_abs();
-            for i in 0..2 {
-                for j in 0..2 {
-                    let d = (zs_[(i, j)] - zb[(i, j)]).norm();
                     assert!(d <= 1e-5 * scale, "f={f} ({i},{j}): rel {:.3e}", d / scale);
                 }
             }

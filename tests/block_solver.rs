@@ -4,21 +4,21 @@
 //!
 //! * property-based agreement — over random SPD operators and
 //!   right-hand-side panels, [`pdn_num::cg::solve_spd_block`] must agree
-//!   with per-column [`pdn_num::cg::solve_spd`] to the solver tolerance;
+//!   with a direct Cholesky solve to the solver tolerance;
 //! * preconditioner quality — on an ill-conditioned fine-mesh plane
 //!   kernel, the hierarchical block-Jacobi preconditioner built from the
 //!   ACA cluster tree must converge in strictly fewer CG iterations than
 //!   the plain Jacobi diagonal;
 //! * bit-identity across `PDN_THREADS` — the full block-solver
-//!   extraction pipeline (panelled block solves, compressed `B_ee`,
-//!   iterative Schur) fans columns in fixed index order, so the
-//!   macromodel sweep must not depend on the worker count.
+//!   extraction pipeline (panelled constrained block solves for `B`,
+//!   direct sparse reduction of `G`) fans columns in fixed index order,
+//!   so the macromodel sweep must not depend on the worker count.
 
 use pdn::bem::assemble_compressed;
 use pdn::prelude::*;
 use pdn_greens::SurfaceImpedance as Zs;
-use pdn_num::cg::{solve_spd, solve_spd_block, solve_spd_pc};
-use pdn_num::{JacobiPreconditioner, Matrix};
+use pdn_num::cg::solve_spd_block;
+use pdn_num::{CholeskyDecomposition, JacobiPreconditioner, Matrix};
 use proptest::prelude::*;
 use std::cell::Cell;
 
@@ -46,12 +46,12 @@ fn random_spd(n: usize, seed: u64, delta: f64) -> Matrix<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Block CG against per-column scalar CG on random SPD operators:
-    /// both run under the Jacobi preconditioner to the same tolerance,
-    /// so the solutions must agree to that tolerance (each is within
-    /// `tol` of the true solution in the operator norm sense).
+    /// Block CG (Jacobi preconditioner) against a direct Cholesky solve
+    /// on random SPD operators: the block iterate sits within `tol` of
+    /// the true solution in the operator norm sense, so the two agree to
+    /// that tolerance.
     #[test]
-    fn block_cg_agrees_with_scalar_cg(
+    fn block_cg_agrees_with_dense_cholesky(
         n in 4usize..24,
         rhs in 1usize..6,
         seed in any::<u64>(),
@@ -71,16 +71,16 @@ proptest! {
         };
         let xs = solve_spd_block(n, &apply, &pc, &b, tol, max_iter).unwrap();
         let scale = (0..n).map(|i| a[(i, i)]).fold(0.0f64, f64::max);
+        let ch = CholeskyDecomposition::new(&a).unwrap();
         for (c, col) in b.iter().enumerate() {
-            let x_ref = solve_spd(&a, col, tol, max_iter).unwrap();
+            let x_ref = ch.solve(col).unwrap();
             for i in 0..n {
                 let d = (xs[c][i] - x_ref[i]).abs();
-                // Both iterates sit within tol·‖b‖ residual of the exact
-                // solution; their difference is bounded by the (scaled)
-                // sum of those error balls.
+                // The iterate sits within tol·‖b‖ residual of the exact
+                // solution; its error is bounded by that (scaled) ball.
                 prop_assert!(
                     d <= 1e-7 * (1.0 + x_ref[i].abs()) * (scale / delta).max(1.0),
-                    "col {c} entry {i}: block {} vs scalar {} (diff {d:.3e})",
+                    "col {c} entry {i}: block {} vs direct {} (diff {d:.3e})",
                     xs[c][i],
                     x_ref[i]
                 );
@@ -93,8 +93,8 @@ proptest! {
 fn hierarchical_preconditioner_beats_jacobi_on_fine_mesh() {
     // Fine-pitch plane: the potential kernel's condition number grows
     // with refinement, which is exactly where the cluster-tree
-    // block-Cholesky preconditioner pays off. Iterations are counted by
-    // wrapping the operator application.
+    // block-Cholesky preconditioner pays off. Iterations of a one-column
+    // block solve are counted by wrapping the operator application.
     let mut mesh =
         PlaneMesh::build(&Polygon::rectangle(mm(32.0), mm(14.0)), mm(0.8)).expect("meshable");
     mesh.bind_port("P1", Point::new(mm(8.0), mm(7.0)))
@@ -113,11 +113,11 @@ fn hierarchical_preconditioner_beats_jacobi_on_fine_mesh() {
 
     let run = |pc: &dyn pdn_num::Preconditioner| -> usize {
         let iters = Cell::new(0usize);
-        let apply = |x: &[f64]| {
+        let apply = |cols: &[Vec<f64>]| {
             iters.set(iters.get() + 1);
-            ck.p.matvec(x)
+            ck.p.matvec_block(cols)
         };
-        solve_spd_pc(n, &apply, pc, &b, tol, max_iter).unwrap();
+        solve_spd_block(n, &apply, pc, std::slice::from_ref(&b), tol, max_iter).unwrap();
         iters.get()
     };
 
@@ -133,17 +133,16 @@ fn hierarchical_preconditioner_beats_jacobi_on_fine_mesh() {
 
 #[test]
 fn block_solver_extraction_is_thread_count_invariant() {
-    // Full pipeline under SolverSpec::BlockCg: compressed assembly →
-    // panelled block-CG extraction with hierarchical preconditioners and
-    // compressed B_ee → macromodel sweep, bit-identical for any worker
-    // count.
+    // Full pipeline: compressed assembly → panelled block-CG extraction
+    // with hierarchical preconditioners and constrained B solves → macromodel
+    // sweep, bit-identical for any worker count.
     let spec = PlaneSpec::rectangle(mm(24.0), mm(12.0), 0.3e-3, 4.5)
         .unwrap()
         .with_sheet_resistance(3e-3)
         .with_cell_size(mm(1.0))
         .with_port("P1", mm(3.0), mm(6.0))
         .with_port("P2", mm(21.0), mm(6.0))
-        .with_compression(CompressionSpec::default().with_block_solver());
+        .with_compression(CompressionSpec::default());
     let freqs: Vec<f64> = (1..=10).map(|k| k as f64 * 200e6).collect();
     let mut z_ref: Option<Vec<pdn_num::Matrix<pdn_num::c64>>> = None;
     with_thread_counts(|n| {
@@ -176,7 +175,7 @@ fn block_extraction_tracks_dense_within_certified_tol() {
     let sel = NodeSelection::PortsAndGrid { stride: 3 };
     let dense = base.clone().extract(&sel).unwrap();
     let block = base
-        .with_compression(CompressionSpec::default().with_block_solver())
+        .with_compression(CompressionSpec::default())
         .extract(&sel)
         .unwrap();
     let freqs: Vec<f64> = (1..=10).map(|k| k as f64 * 200e6).collect();
