@@ -354,15 +354,7 @@ impl BemSystem {
             )));
         }
         let y = self.nodal_admittance(f)?;
-        self.port_impedance_from_admittance(y)
-    }
-
-    /// Solves the bound ports against an already-built nodal admittance:
-    /// one factorization of `Y`, reused across every port's RHS column.
-    fn port_impedance_from_admittance(
-        &self,
-        y: Matrix<c64>,
-    ) -> Result<Matrix<c64>, AssembleBemError> {
+        // One factorization of `Y`, reused across every port's RHS column.
         let ports = self.mesh.port_cells();
         assert!(!ports.is_empty(), "no ports bound to the mesh");
         let lu = LuDecomposition::new(y)
@@ -388,57 +380,23 @@ impl BemSystem {
     ///
     /// Output order matches `freqs` and is identical for every worker
     /// count (each sweep point is solved independently by one thread).
-    /// Equivalent to
-    /// [`admittance_sweep_with`](Self::admittance_sweep_with) at
-    /// [`SweepAccuracy::Exact`].
     ///
     /// # Errors
     ///
     /// Returns the error of the lowest-index failing point; the grid must
     /// be finite, strictly positive, and strictly increasing.
     pub fn admittance_sweep(&self, freqs: &[f64]) -> Result<Vec<Matrix<c64>>, AssembleBemError> {
-        self.admittance_sweep_with(freqs, SweepAccuracy::Exact)
-    }
-
-    /// [`admittance_sweep`](Self::admittance_sweep) with an explicit
-    /// [`SweepAccuracy`] policy — `Rational` solves only adaptively
-    /// chosen anchor frequencies exactly and fills the rest from a
-    /// certified barycentric interpolant (see `pdn_num::rational`).
-    ///
-    /// # Errors
-    ///
-    /// [`AssembleBemError::InvalidInput`] for an invalid grid or
-    /// tolerance; otherwise the lowest-index failing point's error.
-    pub fn admittance_sweep_with(
-        &self,
-        freqs: &[f64],
-        accuracy: SweepAccuracy,
-    ) -> Result<Vec<Matrix<c64>>, AssembleBemError> {
-        Ok(self.admittance_sweep_detailed(freqs, accuracy)?.values)
-    }
-
-    /// [`admittance_sweep_with`](Self::admittance_sweep_with) returning
-    /// the full [`SweepOutcome`] (values, engine stats, rational model).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as
-    /// [`admittance_sweep_with`](Self::admittance_sweep_with).
-    pub fn admittance_sweep_detailed(
-        &self,
-        freqs: &[f64],
-        accuracy: SweepAccuracy,
-    ) -> Result<SweepOutcome, AssembleBemError> {
-        rational::sweep("bem.admittance", freqs, accuracy, |f| {
+        rational::sweep("bem.admittance", freqs, SweepAccuracy::Exact, |f| {
             self.nodal_admittance(f)
         })
+        .map(|outcome| outcome.values)
         .map_err(from_sweep_err)
     }
 
     /// Batched [`port_impedance`](Self::port_impedance): one port
     /// impedance matrix per frequency, computed on [`pdn_num::parallel`]
     /// workers with one cached LU factorization per sweep point (shared
-    /// across all port excitations at that point). Equivalent to
+    /// across all port excitations at that point). The values of
     /// [`impedance_sweep_with`](Self::impedance_sweep_with) at
     /// [`SweepAccuracy::Exact`].
     ///
@@ -451,11 +409,17 @@ impl BemSystem {
     ///
     /// Panics if no ports are bound to the mesh.
     pub fn impedance_sweep(&self, freqs: &[f64]) -> Result<Vec<Matrix<c64>>, AssembleBemError> {
-        self.impedance_sweep_with(freqs, SweepAccuracy::Exact)
+        Ok(self
+            .impedance_sweep_with(freqs, SweepAccuracy::Exact)?
+            .values)
     }
 
     /// [`impedance_sweep`](Self::impedance_sweep) with an explicit
-    /// [`SweepAccuracy`] policy.
+    /// [`SweepAccuracy`] policy — `Rational` solves only adaptively
+    /// chosen anchor frequencies exactly and fills the rest from a
+    /// certified barycentric interpolant (see `pdn_num::rational`).
+    /// Returns the full [`SweepOutcome`] (values, engine stats, rational
+    /// model).
     ///
     /// # Errors
     ///
@@ -469,38 +433,16 @@ impl BemSystem {
         &self,
         freqs: &[f64],
         accuracy: SweepAccuracy,
-    ) -> Result<Vec<Matrix<c64>>, AssembleBemError> {
-        Ok(self.impedance_sweep_detailed(freqs, accuracy)?.values)
-    }
-
-    /// [`impedance_sweep_with`](Self::impedance_sweep_with) returning the
-    /// full [`SweepOutcome`] (values, engine stats, rational model).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as
-    /// [`impedance_sweep_with`](Self::impedance_sweep_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no ports are bound to the mesh.
-    pub fn impedance_sweep_detailed(
-        &self,
-        freqs: &[f64],
-        accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, AssembleBemError> {
-        rational::sweep("bem.impedance", freqs, accuracy, |f| {
-            let y = self.nodal_admittance(f)?;
-            self.port_impedance_from_admittance(y)
-        })
-        .map_err(from_sweep_err)
+        rational::sweep("bem.impedance", freqs, accuracy, |f| self.port_impedance(f))
+            .map_err(from_sweep_err)
     }
 
     /// Scans `|Z(port, port)|` over a frequency grid and returns the
     /// frequencies of local maxima (plane resonances) in ascending order —
-    /// the order the paper reports its `f₀`, `f₁` resonant modes. The grid
-    /// is solved by [`impedance_sweep`](Self::impedance_sweep), so points
-    /// are evaluated in parallel.
+    /// the order the paper reports its `f₀`, `f₁` resonant modes. The
+    /// grid is solved as by [`impedance_sweep`](Self::impedance_sweep),
+    /// so points are evaluated in parallel.
     ///
     /// # Errors
     ///
@@ -519,11 +461,8 @@ impl BemSystem {
     }
 
     /// [`find_resonances`](Self::find_resonances) with an explicit
-    /// [`SweepAccuracy`] policy. Under `Rational` accuracy the rational
-    /// model's poles seed the peak search (each in-band pole is refined
-    /// against `|Z|` near its real part) instead of rescanning the filled
-    /// grid; peaks are always returned ascending with maxima closer than
-    /// one grid step deduplicated.
+    /// [`SweepAccuracy`] policy; under `Rational` the model's poles seed
+    /// the peak search (see [`pdn_num::rational::resonance_scan`]).
     ///
     /// # Errors
     ///
@@ -536,32 +475,16 @@ impl BemSystem {
         points: usize,
         accuracy: SweepAccuracy,
     ) -> Result<Vec<f64>, AssembleBemError> {
-        if points < 2 {
-            return Err(AssembleBemError::InvalidInput(format!(
-                "resonance scan needs at least two sweep points, got {points}"
-            )));
-        }
-        if !(f_start > 0.0 && f_stop > f_start) {
-            return Err(AssembleBemError::InvalidInput(format!(
-                "invalid resonance scan range [{f_start}, {f_stop}]: \
-                 need 0 < f_start < f_stop"
-            )));
-        }
-        let freqs: Vec<f64> = (0..points)
-            .map(|k| f_start + (f_stop - f_start) * k as f64 / (points - 1) as f64)
-            .collect();
-        let outcome = self.impedance_sweep_detailed(&freqs, accuracy)?;
-        let mags: Vec<f64> = outcome
-            .values
-            .iter()
-            .map(|zk| zk[(port, port)].norm())
-            .collect();
-        Ok(match &outcome.model {
-            Some(model) => {
-                rational::pole_seeded_peaks(&freqs, &mags, model, &|z| z[(port, port)].norm())
-            }
-            None => rational::peaks_on_grid(&freqs, &mags),
-        })
+        rational::resonance_scan(
+            "bem.impedance",
+            port,
+            f_start,
+            f_stop,
+            points,
+            accuracy,
+            |f| self.port_impedance(f),
+        )
+        .map_err(from_sweep_err)
     }
 }
 

@@ -29,7 +29,9 @@ fn ex1(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("resonance_scan_64pts", |b| {
         b.iter(|| {
-            verify::circuit_resonances(black_box(eq), 0, 0.3e9, 2.2e9, 64).expect("scannable")
+            black_box(eq)
+                .find_resonances(0, 0.3e9, 2.2e9, 64)
+                .expect("scannable")
         })
     });
     g.bench_function("extraction_stride3", |b| {

@@ -222,27 +222,9 @@ impl Circuit {
     /// cannot be factored at some frequency (the lowest failing frequency
     /// is reported).
     pub fn ac(&self, sweep: &AcSweep, excite: SourceId) -> Result<AcResult, SimulateCircuitError> {
-        self.ac_with(sweep, excite, SweepAccuracy::Exact)
-    }
-
-    /// [`ac`](Self::ac) with an explicit [`SweepAccuracy`] policy —
-    /// `Rational` factors only adaptively chosen anchor frequencies and
-    /// fills the rest from a certified rational interpolant of the node
-    /// voltage vector (see `pdn_num::rational`).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ac`](Self::ac), plus
-    /// [`SimulateCircuitError::InvalidSpec`] for an invalid tolerance.
-    pub fn ac_with(
-        &self,
-        sweep: &AcSweep,
-        excite: SourceId,
-        accuracy: SweepAccuracy,
-    ) -> Result<AcResult, SimulateCircuitError> {
         let n = self.n_nodes;
         let dim = n + self.n_vsources;
-        let outcome = rational::sweep("circuit.ac", &sweep.freqs, accuracy, |f| {
+        let outcome = rational::sweep("circuit.ac", &sweep.freqs, SweepAccuracy::Exact, |f| {
             let omega = 2.0 * PI * f;
             let a = self.ac_matrix(omega);
             let mut rhs = vec![c64::ZERO; dim];
@@ -312,8 +294,8 @@ impl Circuit {
     /// Batched [`impedance_matrix`](Self::impedance_matrix): one port
     /// impedance matrix per frequency, computed on [`pdn_num::parallel`]
     /// workers. Each sweep point factors its complex MNA matrix once and
-    /// reuses the factorization across all port excitations. Equivalent
-    /// to [`impedance_sweep_with`](Self::impedance_sweep_with) at
+    /// reuses the factorization across all port excitations. The values
+    /// of [`impedance_sweep_with`](Self::impedance_sweep_with) at
     /// [`SweepAccuracy::Exact`].
     ///
     /// # Errors
@@ -329,11 +311,14 @@ impl Circuit {
         freqs: &[f64],
         ports: &[NodeId],
     ) -> Result<Vec<Matrix<c64>>, SimulateCircuitError> {
-        self.impedance_sweep_with(freqs, ports, SweepAccuracy::Exact)
+        Ok(self
+            .impedance_sweep_with(freqs, ports, SweepAccuracy::Exact)?
+            .values)
     }
 
     /// [`impedance_sweep`](Self::impedance_sweep) with an explicit
-    /// [`SweepAccuracy`] policy.
+    /// [`SweepAccuracy`] policy, returning the full [`SweepOutcome`]
+    /// (values, engine stats, rational model).
     ///
     /// # Errors
     ///
@@ -344,28 +329,6 @@ impl Circuit {
     ///
     /// Panics if a port is the ground node.
     pub fn impedance_sweep_with(
-        &self,
-        freqs: &[f64],
-        ports: &[NodeId],
-        accuracy: SweepAccuracy,
-    ) -> Result<Vec<Matrix<c64>>, SimulateCircuitError> {
-        Ok(self
-            .impedance_sweep_detailed(freqs, ports, accuracy)?
-            .values)
-    }
-
-    /// [`impedance_sweep_with`](Self::impedance_sweep_with) returning the
-    /// full [`SweepOutcome`] (values, engine stats, rational model).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as
-    /// [`impedance_sweep_with`](Self::impedance_sweep_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a port is the ground node.
-    pub fn impedance_sweep_detailed(
         &self,
         freqs: &[f64],
         ports: &[NodeId],

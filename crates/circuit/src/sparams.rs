@@ -105,30 +105,7 @@ impl Circuit {
         ports: &[NodeId],
         z0: f64,
     ) -> Result<Vec<Matrix<c64>>, SimulateCircuitError> {
-        self.s_parameter_sweep_with(freqs, ports, z0, SweepAccuracy::Exact)
-    }
-
-    /// [`s_parameter_sweep`](Self::s_parameter_sweep) with an explicit
-    /// [`SweepAccuracy`] policy — under `Rational`, the scattering matrix
-    /// itself is interpolated (S inherits the rational structure of Z), so
-    /// only the adaptively chosen anchor frequencies pay an exact solve.
-    ///
-    /// # Errors
-    ///
-    /// [`SimulateCircuitError::InvalidSpec`] for an invalid grid or
-    /// tolerance; otherwise the lowest-index failing frequency's error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a port is the ground node.
-    pub fn s_parameter_sweep_with(
-        &self,
-        freqs: &[f64],
-        ports: &[NodeId],
-        z0: f64,
-        accuracy: SweepAccuracy,
-    ) -> Result<Vec<Matrix<c64>>, SimulateCircuitError> {
-        rational::sweep("circuit.sparams", freqs, accuracy, |f| {
+        rational::sweep("circuit.sparams", freqs, SweepAccuracy::Exact, |f| {
             let z = self.impedance_matrix(f, ports)?;
             s_from_z(&z, z0).map_err(|e| SimulateCircuitError::Singular(format!("f = {f}: {e}")))
         })

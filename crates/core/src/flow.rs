@@ -362,11 +362,10 @@ impl PlaneSpec {
 
     /// Validation mode: extracts this plane both monolithically and under
     /// `plan`, and returns the maximum relative port-impedance deviation
-    /// over `freqs` (see
-    /// [`max_port_impedance_deviation`](pdn_shard::max_port_impedance_deviation)
-    /// for the metric). Use on a small representative board to check a
-    /// shard plan against the documented tolerance before trusting it on
-    /// the full-size layout.
+    /// over `freqs` (see [`max_port_impedance_deviation`] for the metric).
+    /// Use on a small representative board to check a shard plan against
+    /// the documented tolerance before trusting it on the full-size
+    /// layout.
     ///
     /// # Errors
     ///

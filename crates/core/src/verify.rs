@@ -12,7 +12,7 @@ use crate::flow::{ExtractedPlane, PlaneSpec};
 use pdn_circuit::{Circuit, NodeId, TransientSpec, Waveform};
 use pdn_extract::EquivalentCircuit;
 use pdn_fdtd::PlaneFdtd;
-use pdn_num::{c64, fft, next_pow2, SweepAccuracy};
+use pdn_num::{c64, fft, next_pow2};
 use std::error::Error;
 
 /// `|S21|` (dB) of the extracted macromodel between two ports over a
@@ -29,25 +29,7 @@ pub fn circuit_s21_db(
     freqs: &[f64],
     z0: f64,
 ) -> Result<Vec<f64>, Box<dyn Error>> {
-    circuit_s21_db_with(eq, p_in, p_out, freqs, z0, SweepAccuracy::Exact)
-}
-
-/// [`circuit_s21_db`] with an explicit [`SweepAccuracy`] policy —
-/// `Rational` pays an exact solve only at adaptively chosen anchor
-/// frequencies and interpolates the rest with a certified rational model.
-///
-/// # Errors
-///
-/// Propagates solve failures.
-pub fn circuit_s21_db_with(
-    eq: &EquivalentCircuit,
-    p_in: usize,
-    p_out: usize,
-    freqs: &[f64],
-    z0: f64,
-    accuracy: SweepAccuracy,
-) -> Result<Vec<f64>, Box<dyn Error>> {
-    let sweep = eq.s_parameter_sweep_with(freqs, z0, accuracy)?;
+    let sweep = eq.s_parameter_sweep(freqs, z0)?;
     Ok(sweep.iter().map(|s| s[(p_out, p_in)].db()).collect())
 }
 
@@ -101,40 +83,6 @@ pub fn fdtd_s21_db(
         (2.0 * v_out[k] / v_src[k]).db()
     };
     Ok(freqs.iter().map(|&f| s21_bin(f)).collect())
-}
-
-/// Resonant frequencies of the extracted macromodel's input impedance at
-/// `port` (ascending) — the paper's Example 1 measurement.
-///
-/// # Errors
-///
-/// Propagates solve failures.
-pub fn circuit_resonances(
-    eq: &EquivalentCircuit,
-    port: usize,
-    f_start: f64,
-    f_stop: f64,
-    points: usize,
-) -> Result<Vec<f64>, Box<dyn Error>> {
-    Ok(eq.find_resonances(port, f_start, f_stop, points)?)
-}
-
-/// [`circuit_resonances`] with an explicit [`SweepAccuracy`] policy; under
-/// `Rational` the macromodel's rational-interpolant poles seed the peak
-/// search.
-///
-/// # Errors
-///
-/// Propagates solve failures.
-pub fn circuit_resonances_with(
-    eq: &EquivalentCircuit,
-    port: usize,
-    f_start: f64,
-    f_stop: f64,
-    points: usize,
-    accuracy: SweepAccuracy,
-) -> Result<Vec<f64>, Box<dyn Error>> {
-    Ok(eq.find_resonances_with(port, f_start, f_stop, points, accuracy)?)
 }
 
 /// Resonant frequencies seen by the FDTD reference: ring-down spectrum
@@ -200,26 +148,10 @@ pub fn circuit_strongest_peak(
     f_stop: f64,
     points: usize,
 ) -> Result<(f64, f64), Box<dyn Error>> {
-    circuit_strongest_peak_with(eq, port, f_start, f_stop, points, SweepAccuracy::Exact)
-}
-
-/// [`circuit_strongest_peak`] with an explicit [`SweepAccuracy`] policy.
-///
-/// # Errors
-///
-/// Propagates solve failures; errors if no peak exists in the window.
-pub fn circuit_strongest_peak_with(
-    eq: &EquivalentCircuit,
-    port: usize,
-    f_start: f64,
-    f_stop: f64,
-    points: usize,
-    accuracy: SweepAccuracy,
-) -> Result<(f64, f64), Box<dyn Error>> {
     let freqs: Vec<f64> = (0..points)
         .map(|k| f_start + (f_stop - f_start) * k as f64 / (points - 1) as f64)
         .collect();
-    let z = eq.impedance_sweep_with(&freqs, accuracy)?;
+    let z = eq.impedance_sweep(&freqs)?;
     let mags: Vec<f64> = z.iter().map(|zk| zk[(port, port)].norm()).collect();
     let mut best: Option<(f64, f64)> = None;
     for k in 1..points.saturating_sub(1) {
@@ -444,8 +376,10 @@ mod tests {
             .extract(&NodeSelection::PortsAndGrid { stride: 2 })
             .unwrap();
         let f10 = spec.pair().cavity_resonance(mm(20.0), mm(20.0), 1, 0);
-        let eq_peaks =
-            circuit_resonances(extracted.equivalent(), 0, 0.5 * f10, 1.5 * f10, 41).unwrap();
+        let eq_peaks = extracted
+            .equivalent()
+            .find_resonances(0, 0.5 * f10, 1.5 * f10, 41)
+            .unwrap();
         let fd_peaks = fdtd_resonances(&spec, 0, 0.5 * f10, 1.5 * f10).unwrap();
         assert!(!eq_peaks.is_empty() && !fd_peaks.is_empty());
         let rel = (eq_peaks[0] - fd_peaks[0]).abs() / fd_peaks[0];

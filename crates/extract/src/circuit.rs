@@ -801,8 +801,8 @@ impl EquivalentCircuit {
     /// Batched [`impedance`](Self::impedance): one port impedance matrix
     /// per frequency, computed on [`pdn_num::parallel`] workers with one
     /// cached admittance factorization per sweep point. Output order
-    /// matches `freqs` and is identical for any worker count. Equivalent
-    /// to [`impedance_sweep_with`](Self::impedance_sweep_with) at
+    /// matches `freqs` and is identical for any worker count. The values
+    /// of [`impedance_sweep_with`](Self::impedance_sweep_with) at
     /// [`SweepAccuracy::Exact`].
     ///
     /// # Errors
@@ -810,13 +810,17 @@ impl EquivalentCircuit {
     /// Returns the error of the lowest-index failing point; the grid must
     /// be finite, strictly positive, and strictly increasing.
     pub fn impedance_sweep(&self, freqs: &[f64]) -> Result<Vec<Matrix<c64>>, ExtractCircuitError> {
-        self.impedance_sweep_with(freqs, SweepAccuracy::Exact)
+        Ok(self
+            .impedance_sweep_with(freqs, SweepAccuracy::Exact)?
+            .values)
     }
 
     /// [`impedance_sweep`](Self::impedance_sweep) with an explicit
     /// [`SweepAccuracy`] policy — `Rational` factors only adaptively
     /// chosen anchor frequencies exactly and fills the rest from a
     /// certified barycentric interpolant (see `pdn_num::rational`).
+    /// Returns the full [`SweepOutcome`] (values, engine stats, rational
+    /// model).
     ///
     /// # Errors
     ///
@@ -826,28 +830,13 @@ impl EquivalentCircuit {
         &self,
         freqs: &[f64],
         accuracy: SweepAccuracy,
-    ) -> Result<Vec<Matrix<c64>>, ExtractCircuitError> {
-        Ok(self.impedance_sweep_detailed(freqs, accuracy)?.values)
-    }
-
-    /// [`impedance_sweep_with`](Self::impedance_sweep_with) returning the
-    /// full [`SweepOutcome`] (values, engine stats, rational model).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as
-    /// [`impedance_sweep_with`](Self::impedance_sweep_with).
-    pub fn impedance_sweep_detailed(
-        &self,
-        freqs: &[f64],
-        accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, ExtractCircuitError> {
         rational::sweep("extract.impedance", freqs, accuracy, |f| self.impedance(f))
             .map_err(from_sweep_err)
     }
 
     /// Batched [`s_parameters`](Self::s_parameters) over a frequency
-    /// sweep, parallel per point. Equivalent to
+    /// sweep, parallel per point. The values of
     /// [`s_parameter_sweep_with`](Self::s_parameter_sweep_with) at
     /// [`SweepAccuracy::Exact`].
     ///
@@ -860,34 +849,22 @@ impl EquivalentCircuit {
         freqs: &[f64],
         z0: f64,
     ) -> Result<Vec<Matrix<c64>>, ExtractCircuitError> {
-        self.s_parameter_sweep_with(freqs, z0, SweepAccuracy::Exact)
+        Ok(self
+            .s_parameter_sweep_with(freqs, z0, SweepAccuracy::Exact)?
+            .values)
     }
 
     /// [`s_parameter_sweep`](Self::s_parameter_sweep) with an explicit
     /// [`SweepAccuracy`] policy — under `Rational`, the scattering matrix
     /// itself is interpolated (S inherits the rational structure of Z).
+    /// Returns the full [`SweepOutcome`] (values, engine stats, rational
+    /// model).
     ///
     /// # Errors
     ///
     /// [`ExtractCircuitError::InvalidInput`] for an invalid grid or
     /// tolerance; otherwise the lowest-index failing point's error.
     pub fn s_parameter_sweep_with(
-        &self,
-        freqs: &[f64],
-        z0: f64,
-        accuracy: SweepAccuracy,
-    ) -> Result<Vec<Matrix<c64>>, ExtractCircuitError> {
-        Ok(self.s_parameter_sweep_detailed(freqs, z0, accuracy)?.values)
-    }
-
-    /// [`s_parameter_sweep_with`](Self::s_parameter_sweep_with) returning
-    /// the full [`SweepOutcome`] (values, engine stats, rational model).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as
-    /// [`s_parameter_sweep_with`](Self::s_parameter_sweep_with).
-    pub fn s_parameter_sweep_detailed(
         &self,
         freqs: &[f64],
         z0: f64,
@@ -901,17 +878,14 @@ impl EquivalentCircuit {
 
     /// Finds the input-impedance resonances at a port, **ascending** with
     /// peaks closer than one grid step deduplicated. The scan grid is
-    /// solved by [`impedance_sweep`](Self::impedance_sweep), so points
+    /// solved as by [`impedance_sweep`](Self::impedance_sweep), so points
     /// are evaluated in parallel.
     ///
     /// # Errors
     ///
-    /// Propagates solve failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `points >= 3` and `0 < f_start < f_stop` (the
-    /// [`crate::resonance::linear_grid`] contract).
+    /// Returns [`ExtractCircuitError::InvalidInput`] unless `points >= 2`,
+    /// `f_start > 0`, and `f_stop > f_start`; otherwise propagates solve
+    /// failures.
     pub fn find_resonances(
         &self,
         port: usize,
@@ -923,18 +897,12 @@ impl EquivalentCircuit {
     }
 
     /// [`find_resonances`](Self::find_resonances) with an explicit
-    /// [`SweepAccuracy`] policy. Under `Rational` accuracy the rational
-    /// model's poles seed the peak search (each in-band pole is refined
-    /// against `|Z|` near its real part) instead of rescanning the filled
-    /// grid.
+    /// [`SweepAccuracy`] policy; under `Rational` the model's poles seed
+    /// the peak search (see [`pdn_num::rational::resonance_scan`]).
     ///
     /// # Errors
     ///
     /// Same contract as [`find_resonances`](Self::find_resonances).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `points >= 3` and `0 < f_start < f_stop`.
     pub fn find_resonances_with(
         &self,
         port: usize,
@@ -943,19 +911,16 @@ impl EquivalentCircuit {
         points: usize,
         accuracy: SweepAccuracy,
     ) -> Result<Vec<f64>, ExtractCircuitError> {
-        let freqs = crate::resonance::linear_grid(f_start, f_stop, points);
-        let outcome = self.impedance_sweep_detailed(&freqs, accuracy)?;
-        let mags: Vec<f64> = outcome
-            .values
-            .iter()
-            .map(|zk| zk[(port, port)].norm())
-            .collect();
-        Ok(match &outcome.model {
-            Some(model) => {
-                rational::pole_seeded_peaks(&freqs, &mags, model, &|z| z[(port, port)].norm())
-            }
-            None => rational::peaks_on_grid(&freqs, &mags),
-        })
+        rational::resonance_scan(
+            "extract.impedance",
+            port,
+            f_start,
+            f_stop,
+            points,
+            accuracy,
+            |f| self.impedance(f),
+        )
+        .map_err(from_sweep_err)
     }
 
     /// Exports the macromodel into a [`pdn_circuit::Circuit`] with the
@@ -1444,6 +1409,29 @@ mod tests {
         assert!(!peaks.is_empty());
         let rel = (peaks[0] - f10).abs() / f10;
         assert!(rel < 0.12, "reduced-model resonance off by {rel:.3}");
+    }
+
+    #[test]
+    fn find_resonances_rejects_degenerate_grids() {
+        let sys = bem(true, &[(mm(2.0), mm(2.0))]);
+        let eq = EquivalentCircuit::from_bem(&sys, &NodeSelection::PortsOnly).unwrap();
+        for points in [0, 1] {
+            match eq.find_resonances(0, 1e8, 1e9, points) {
+                Err(ExtractCircuitError::InvalidInput(_)) => {}
+                other => panic!("points = {points}: expected InvalidInput, got {other:?}"),
+            }
+        }
+        for (f_start, f_stop) in [(0.0, 1e9), (1e9, 1e8)] {
+            match eq.find_resonances(0, f_start, f_stop, 11) {
+                Err(ExtractCircuitError::InvalidInput(_)) => {}
+                other => panic!("[{f_start}, {f_stop}]: expected InvalidInput, got {other:?}"),
+            }
+        }
+        // Two points cannot hold an interior maximum but are a valid grid.
+        assert_eq!(
+            eq.find_resonances(0, 1e8, 1e9, 2).unwrap(),
+            Vec::<f64>::new()
+        );
     }
 
     #[test]

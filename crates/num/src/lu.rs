@@ -9,11 +9,10 @@
 //! panel is factored with partial pivoting by the classical scalar
 //! recurrence, the matching `U` row block is obtained by a lane-group
 //! triangular solve, and the trailing matrix is updated through the
-//! cache-tiled [`gemm`] microkernel — fanned out over
-//! [`parallel`](crate::parallel) row tiles when the update is large enough
-//! to pay for the threads. Tile and block sizes are fixed constants, never
-//! derived from the worker count, so factors and solves are **bit-identical
-//! for any `PDN_THREADS`**. For matrices up to one block (`n ≤ 64`) the
+//! cache-tiled [`gemm`] microkernel — fanned out over [`parallel`] row
+//! tiles when the update is large enough to pay for the threads. Tile and
+//! block sizes are fixed constants, never derived from the worker count,
+//! so factors and solves are **bit-identical for any `PDN_THREADS`**. For matrices up to one block (`n ≤ 64`) the
 //! blocked loop degenerates to exactly the scalar elimination, so small
 //! systems (ports, MNA stamps, transmission lines) keep their historical
 //! bit patterns.

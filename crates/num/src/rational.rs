@@ -42,6 +42,12 @@
 //! setting**. Setting `PDN_SWEEP_STATS=1` prints one stats line per
 //! sweep to stderr.
 //!
+//! Every public sweep API has at most two call shapes over this engine:
+//! a plain form that runs [`SweepAccuracy::Exact`] and returns values,
+//! and a `_with(…, SweepAccuracy)` form. Matrix sweeps' `_with` forms
+//! return the whole [`SweepOutcome`]; `find_resonances_with` runs
+//! [`resonance_scan`].
+//!
 //! # Examples
 //!
 //! ```
@@ -118,8 +124,9 @@ impl<E: fmt::Display> fmt::Display for SweepError<E> {
 
 impl<E: fmt::Debug + fmt::Display> std::error::Error for SweepError<E> {}
 
-/// Per-sweep engine statistics (also printed to stderr when
-/// `PDN_SWEEP_STATS=1`).
+/// Per-sweep engine statistics, returned in [`SweepOutcome::stats`] by
+/// [`sweep`] and by every matrix sweep's `_with` form (also printed to
+/// stderr when `PDN_SWEEP_STATS=1`).
 #[derive(Debug, Clone, Default)]
 pub struct SweepStats {
     /// Grid points in the sweep.
@@ -777,8 +784,7 @@ fn finish_peaks(mut peaks: Vec<(f64, f64)>, min_sep: f64) -> Vec<f64> {
 
 /// Local maxima of `|z|` samples on a uniform grid with parabolic
 /// refinement, returned **ascending** with peaks closer than one grid
-/// step deduplicated (the stronger one wins). Shared by the `pdn_bem`
-/// and `pdn_extract` resonance scans.
+/// step deduplicated (the stronger one wins).
 ///
 /// Grids shorter than three samples have no interior point and return
 /// an empty list.
@@ -786,17 +792,7 @@ fn finish_peaks(mut peaks: Vec<(f64, f64)>, min_sep: f64) -> Vec<f64> {
 /// # Panics
 ///
 /// Panics if `freqs` and `mags` differ in length.
-///
-/// # Examples
-///
-/// ```
-/// let freqs: Vec<f64> = (0..101).map(|k| 1.0 + 0.09 * k as f64).collect();
-/// let mags: Vec<f64> = freqs.iter().map(|&f| 1.0 / ((f - 5.3f64).powi(2) + 0.01)).collect();
-/// let peaks = pdn_num::rational::peaks_on_grid(&freqs, &mags);
-/// assert_eq!(peaks.len(), 1);
-/// assert!((peaks[0] - 5.3).abs() < 0.05);
-/// ```
-pub fn peaks_on_grid(freqs: &[f64], mags: &[f64]) -> Vec<f64> {
+fn peaks_on_grid(freqs: &[f64], mags: &[f64]) -> Vec<f64> {
     if freqs.len() < 3 {
         return Vec::new();
     }
@@ -842,7 +838,7 @@ fn golden_max(a: f64, b: f64, g: &dyn Fn(f64) -> f64) -> (f64, f64) {
 ///
 /// Panics if `freqs` and `mags` differ in length (fewer than three
 /// samples returns no peaks).
-pub fn pole_seeded_peaks(
+fn pole_seeded_peaks(
     freqs: &[f64],
     mags: &[f64],
     model: &RationalModel,
@@ -880,6 +876,69 @@ pub fn pole_seeded_peaks(
         }
     }
     finish_peaks(cands, df)
+}
+
+/// The resonance scan behind every `find_resonances_with`: sweeps `eval`
+/// under `accuracy` over `points` linearly spaced frequencies from
+/// `f_start` to `f_stop` (`label` as in [`sweep`]) and returns the local
+/// maxima of `|Z(port, port)|`, ascending, merged within one grid step.
+/// A certified rational model's poles seed the peak search; otherwise
+/// the grid is scanned with parabolic refinement. Two points give no
+/// peaks.
+///
+/// # Errors
+///
+/// [`SweepError::InvalidInput`] unless `points >= 2` and
+/// `0 < f_start < f_stop`; otherwise the errors of [`sweep`].
+///
+/// # Examples
+///
+/// ```
+/// use pdn_num::rational::{resonance_scan, SweepAccuracy::Exact};
+/// use pdn_num::{c64, Matrix};
+///
+/// // One lightly damped mode at 5.3, between grid points.
+/// let eval = |f: f64| -> Result<Matrix<c64>, std::convert::Infallible> {
+///     Ok(Matrix::from_rows(&[&[(c64::from_re(f) - c64::new(5.3, 0.1)).recip()]]))
+/// };
+/// let peaks = resonance_scan("demo", 0, 1.0, 10.0, 101, Exact, eval).unwrap();
+/// assert!(peaks.len() == 1 && (peaks[0] - 5.3).abs() < 0.05);
+/// assert!(resonance_scan("demo", 0, 1.0, 10.0, 1, Exact, eval).is_err());
+/// ```
+pub fn resonance_scan<E, F>(
+    label: &str,
+    port: usize,
+    f_start: f64,
+    f_stop: f64,
+    points: usize,
+    accuracy: SweepAccuracy,
+    eval: F,
+) -> Result<Vec<f64>, SweepError<E>>
+where
+    E: Send,
+    F: Fn(f64) -> Result<Matrix<c64>, E> + Sync,
+{
+    if points < 2 {
+        return Err(SweepError::InvalidInput(format!(
+            "resonance scan needs at least two sweep points, got {points}"
+        )));
+    }
+    if !(f_start > 0.0 && f_stop > f_start) {
+        return Err(SweepError::InvalidInput(format!(
+            "invalid resonance scan range [{f_start}, {f_stop}]: \
+             need 0 < f_start < f_stop"
+        )));
+    }
+    let freqs: Vec<f64> = (0..points)
+        .map(|k| f_start + (f_stop - f_start) * k as f64 / (points - 1) as f64)
+        .collect();
+    let outcome = sweep(label, &freqs, accuracy, eval)?;
+    let mag_of = |z: &Matrix<c64>| z[(port, port)].norm();
+    let mags: Vec<f64> = outcome.values.iter().map(mag_of).collect();
+    Ok(match &outcome.model {
+        Some(model) => pole_seeded_peaks(&freqs, &mags, model, &mag_of),
+        None => peaks_on_grid(&freqs, &mags),
+    })
 }
 
 #[cfg(test)]
@@ -1073,6 +1132,17 @@ mod tests {
         assert!(peaks[0] < peaks[1]);
         assert!((peaks[0] - 4.0).abs() < 0.05);
         assert!((peaks[1] - 9.0).abs() < 0.05);
+        // A peak between grid points is located by parabolic refinement.
+        let coarse: Vec<f64> = (0..19).map(|k| 1.0 + 0.5 * k as f64).collect();
+        let mags: Vec<f64> = coarse
+            .iter()
+            .map(|&f| 1.0 / ((f - 5.3f64).powi(2) + 0.5))
+            .collect();
+        let peaks = peaks_on_grid(&coarse, &mags);
+        assert_eq!(peaks.len(), 1);
+        assert!((peaks[0] - 5.3).abs() < 0.05, "got {}", peaks[0]);
+        // A monotone response has no interior maximum.
+        assert!(peaks_on_grid(&coarse, &coarse).is_empty());
         // Two refined candidates within one grid step merge into one.
         let merged = finish_peaks(vec![(5.00, 1.0), (5.05, 2.0), (7.0, 1.5)], 0.1);
         assert_eq!(merged, vec![5.05, 7.0]);

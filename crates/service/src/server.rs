@@ -26,12 +26,15 @@
 //! `ports` | `grid:<stride>` | `all`. A `SWEEP` `DONE` payload is
 //! `count:peak_noise` pairs. Each connection is one fair-queueing client
 //! (keyed by peer address), so a busy neighbor cannot starve you.
+//!
+//! A request line longer than 4096 bytes is answered with
+//! `ERR request line exceeds 4096 bytes` and closes the connection.
 
 use crate::queue::{AnalysisRequest, JobEvent, JobQueue};
 use crate::store::CacheOutcome;
 use pdn_core::{boards, BoardSpec};
 use pdn_extract::NodeSelection;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -103,6 +106,32 @@ impl Drop for PdnServer {
             let _ = h.join();
         }
     }
+}
+
+/// Longest request line accepted, in bytes, newline excluded. Bounds
+/// what one client can make the server buffer.
+const MAX_REQUEST_LINE: usize = 4096;
+
+/// A request line longer than [`MAX_REQUEST_LINE`] bytes.
+#[derive(Debug, PartialEq)]
+struct LineTooLong;
+
+/// Reads one `\n`-terminated line, consuming at most
+/// `MAX_REQUEST_LINE + 1` bytes. `Ok(None)` means the connection is done:
+/// end of stream, a read error, or a line that is not UTF-8.
+fn read_request_line(reader: &mut impl BufRead) -> Result<Option<String>, LineTooLong> {
+    let mut buf = Vec::new();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
+        Ok(0) | Err(_) => return Ok(None),
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_REQUEST_LINE {
+        return Err(LineTooLong);
+    }
+    Ok(String::from_utf8(buf).ok())
 }
 
 /// Errors rendered to the client as `ERR <message>`.
@@ -229,7 +258,7 @@ fn serve_connection(stream: TcpStream, queue: &Arc<JobQueue>) {
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "unknown".into());
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
@@ -240,8 +269,16 @@ fn serve_connection(stream: TcpStream, queue: &Arc<JobQueue>) {
         let mut w = w.lock().unwrap();
         let _ = writeln!(w, "{line}");
     };
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    loop {
+        let line = match read_request_line(&mut reader) {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            Err(LineTooLong) => {
+                let msg = format!("ERR request line exceeds {MAX_REQUEST_LINE} bytes");
+                write_line(&writer, &msg);
+                break;
+            }
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -282,5 +319,39 @@ fn serve_connection(stream: TcpStream, queue: &Arc<JobQueue>) {
                 }
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_lines_are_bounded() {
+        // A 64 KiB line with no newline is refused after reading at most
+        // one byte past the limit.
+        let long = vec![b'A'; 64 * 1024];
+        let mut input: &[u8] = &long;
+        assert_eq!(read_request_line(&mut input), Err(LineTooLong));
+        assert!(long.len() - input.len() <= MAX_REQUEST_LINE + 1);
+
+        // A line of exactly the limit is accepted, as is a normal request.
+        let mut at_limit = vec![b'B'; MAX_REQUEST_LINE];
+        at_limit.push(b'\n');
+        let mut input: &[u8] = &at_limit;
+        assert_eq!(
+            read_request_line(&mut input),
+            Ok(Some("B".repeat(MAX_REQUEST_LINE)))
+        );
+        let mut input: &[u8] = b"SWEEP ssn_study_a 0.5 ports 1,2 2e-9 1e-11\nQUIT";
+        let Ok(Some(line)) = read_request_line(&mut input) else {
+            panic!("normal request line refused");
+        };
+        assert!(matches!(
+            parse_request(&line),
+            Ok(AnalysisRequest::SwitchingSweep { .. })
+        ));
+        assert_eq!(read_request_line(&mut input), Ok(Some("QUIT".into())));
+        assert_eq!(read_request_line(&mut input), Ok(None));
     }
 }
